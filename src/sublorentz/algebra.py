@@ -44,6 +44,21 @@ class NotInGLPlusError(ValueError):
     """Determinant is not a positive real number."""
 
 
+def _frozen_array(value, dtype, shape: tuple, what: str) -> np.ndarray:
+    """Read-only copy of `value` as a finite `dtype` array of the given shape.
+
+    The validation shared by every array-carrying boundary type; `what` names
+    the field in the error message.
+    """
+    a = np.array(value, dtype=dtype, order="C")
+    if a.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} entries must be finite")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Mat2C:
     """Immutable 2x2 complex matrix, the carrier for group and algebra elements."""
@@ -51,14 +66,7 @@ class Mat2C:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise ValueError("matrix entries must be finite")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _frozen_array(self.m, complex, (2, 2), "matrix"))
 
     @classmethod
     def identity(cls) -> "Mat2C":
@@ -152,11 +160,13 @@ class Mat2C:
 
     @classmethod
     def from_json(cls, data: dict) -> "Mat2C":
-        rows = data["m"]
-        m = np.array(
-            [[complex(rows[r][c][0], rows[r][c][1]) for c in range(2)] for r in range(2)]
-        )
-        return cls(m)
+        pairs = np.array(data["m"], dtype=object)
+        if pairs.shape != (2, 2, 2) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in pairs.flat
+        ):
+            raise ValueError('matrix JSON "m" must be a 2x2 array of [re, im] number pairs')
+        # Viewing (re, im) float pairs as complex keeps every bit, signed zeros included.
+        return cls(pairs.astype(float).view(complex).reshape(2, 2))
 
     def __repr__(self):
         return f"Mat2C({self.m.tolist()!r})"
@@ -177,13 +187,7 @@ class AlgCoords:
         u = np.asarray(self.u, dtype=float)
         if u.shape == (7,):
             u = np.concatenate([u, [0.0]])
-        if u.shape != (8,):
-            raise ValueError(f"expected 7 or 8 coordinates, got shape {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("coordinates must be finite")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", _frozen_array(u, float, (8,), "coordinates"))
 
     @classmethod
     def zero(cls) -> "AlgCoords":
@@ -259,23 +263,29 @@ def pauli(i: int) -> Mat2C:
     return Mat2C(_SIGMA[i].copy())
 
 
+def coords(a: np.ndarray) -> np.ndarray:
+    """Real coordinates (u0..u7) of a 2x2 complex array over {e_0..e_6, i*e_0}.
+
+    On a traceless matrix L, [1:4] are the coordinates of its Hermitian part
+    (L + L*)/2 and [4:7] those of its skew-Hermitian part (L - L*)/2.
+    """
+    return np.array(
+        [
+            (a[0, 0] + a[1, 1]).real,
+            (a[0, 1] + a[1, 0]).real,
+            (a[0, 1] - a[1, 0]).imag,
+            (a[0, 0] - a[1, 1]).real,
+            (a[0, 1] + a[1, 0]).imag,
+            (a[1, 0] - a[0, 1]).real,
+            (a[0, 0] - a[1, 1]).imag,
+            (a[0, 0] + a[1, 1]).imag,
+        ]
+    )
+
+
 def to_coords(m: Mat2C) -> AlgCoords:
     """Expand a matrix over the real basis {e_0..e_6, i*e_0}; exact linear bijection."""
-    a = m.m
-    return AlgCoords(
-        np.array(
-            [
-                (a[0, 0] + a[1, 1]).real,
-                (a[0, 1] + a[1, 0]).real,
-                (a[0, 1] - a[1, 0]).imag,
-                (a[0, 0] - a[1, 1]).real,
-                (a[0, 1] + a[1, 0]).imag,
-                (a[1, 0] - a[0, 1]).real,
-                (a[0, 0] - a[1, 1]).imag,
-                (a[0, 0] + a[1, 1]).imag,
-            ]
-        )
-    )
+    return AlgCoords(coords(m.m))
 
 
 def from_coords(u) -> Mat2C:
@@ -302,12 +312,7 @@ class StructureTable:
     C: np.ndarray
 
     def __post_init__(self):
-        C = np.asarray(self.C, dtype=float)
-        if C.shape != (7, 7, 7):
-            raise ValueError("structure table must have shape (7,7,7)")
-        C = C.copy()
-        C.setflags(write=False)
-        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "C", _frozen_array(self.C, float, (7, 7, 7), "structure table"))
 
     def __getitem__(self, idx):
         return self.C[idx]

@@ -138,7 +138,7 @@ def _path_csv(path: PathSample, cfg: dict, extra=None) -> str:
 
 
 def cmd_exp(args) -> int:
-    cfg = _config(args, ["coeffs", "t", "format", "out"])
+    cfg = _config(args, ["coeffs", "t", "out"])
     coeffs = [parse_complex(tok) for tok in args.coeffs.split(",")]
     if len(coeffs) != 4:
         raise ValueError("exp expects 4 coefficients z0,z1,z2,z3")
@@ -154,7 +154,7 @@ def cmd_exp(args) -> int:
 def cmd_geodesic(args) -> int:
     cfg = _config(
         args,
-        ["kind", "alpha", "beta", "alpha0", "t_max", "samples", "normalize", "format", "out"],
+        ["kind", "alpha", "beta", "alpha0", "t_max", "samples", "normalize", "out"],
     )
     av = _parse_floats(args.alpha, 3)
     bv = _parse_floats(args.beta, 3)
@@ -207,7 +207,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = _config(args, ["matrix", "tol", "seed", "budget", "format", "out"])
+    cfg = _config(args, ["matrix", "tol", "seed", "budget", "out"])
     g = _load_matrix(args.matrix)
     report = causal_classify(g, tol=args.tol, seed=args.seed, budget=args.budget)
     _emit(_json_payload(cfg, report.to_json()), args.out)
@@ -215,7 +215,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    cfg = _config(args, ["matrix", "tol", "seed", "budget", "format", "out"])
+    cfg = _config(args, ["matrix", "tol", "seed", "budget", "out"])
     g1 = _load_matrix(args.matrix)
     bracket = distance_shoot(g1, tol=args.tol, seed=args.seed, budget=args.budget)
     _emit(_json_payload(cfg, bracket.to_json()), args.out)
@@ -223,7 +223,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_longest_arc(args) -> int:
-    cfg = _config(args, ["matrix", "samples", "tol", "seed", "format", "out"])
+    cfg = _config(args, ["matrix", "samples", "tol", "seed", "out"])
     g = _load_matrix(args.matrix)
     try:
         path = longest_arc(g, samples=args.samples, tol=args.tol, seed=args.seed)
@@ -240,13 +240,15 @@ def cmd_longest_arc(args) -> int:
 
 def cmd_extremal(args) -> int:
     if args.mode == "pontryagin":
-        cfg = _config(args, ["mode", "psi0", "regime", "T", "step", "format", "out"])
+        cfg = _config(args, ["mode", "psi0", "regime", "T", "step", "out"])
+        if args.psi0 is None or not args.step > 0:
+            raise ValueError("pontryagin needs --psi0 and a positive --step")
         psi0 = _parse_floats(args.psi0, 7)
         steps = max(1, round(args.T / args.step))
         path = pontryagin_integrate(psi0, _REGIMES[args.regime], args.T, steps,
                                     record_every=max(1, steps // 1000))
     else:
-        cfg = _config(args, ["mode", "beta_dir", "regime", "kappa", "steps", "format", "out"])
+        cfg = _config(args, ["mode", "beta_dir", "regime", "kappa", "steps", "out"])
         kt, kv = _parse_kappa(args.kappa)
         bv = _parse_floats(args.beta_dir, 3)
         path = abnormal_extremal(kt, kv, bv, _REGIMES[args.regime], args.steps)
@@ -255,7 +257,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_hermitian_check(args) -> int:
-    cfg = _config(args, ["alpha", "beta", "tol", "format", "out"])
+    cfg = _config(args, ["alpha", "beta", "tol", "out"])
     report = hermitian_endpoint_check(
         _parse_floats(args.alpha, 3), _parse_floats(args.beta, 3), tol=args.tol
     )
@@ -264,7 +266,7 @@ def cmd_hermitian_check(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _config(args, ["only", "seed", "format", "out"])
+    cfg = _config(args, ["only", "seed", "out"])
     results = validation.run_all(only=args.only)
     payload = []
     all_passed = True
@@ -324,8 +326,6 @@ def _add_common(sp, step_default=1e-3):
     sp.add_argument("--tol", type=float, default=1e-7, help="numerical tolerance")
     sp.add_argument("--seed", type=int, default=0, help="deterministic seed")
     sp.add_argument("--step", type=float, default=step_default, help="integrator step size")
-    sp.add_argument("--format", choices=["json", "csv"], default=None,
-                    help="output format (informational; each command has a native format)")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -413,7 +413,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

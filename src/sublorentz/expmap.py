@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgCoords, Mat2C, NotInGLPlusError, basis_matrix, to_coords
+from .algebra import AlgCoords, Mat2C, NotInGLPlusError, _frozen_array, basis_matrix, to_coords
 
 # Below this magnitude of w, sinh(wt)/w and sin(wt)/w switch to a 3-term even
 # Taylor expansion to avoid cancellation; the switch is continuous in (w, t).
@@ -62,14 +62,7 @@ class ComplexAlgVec:
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        if z.shape != (4,):
-            raise ValueError("expected 4 complex coefficients")
-        if not (np.all(np.isfinite(z.real)) and np.all(np.isfinite(z.imag))):
-            raise ValueError("coefficients must be finite")
-        z = z.copy()
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", _frozen_array(self.z, complex, (4,), "coefficients"))
 
     @classmethod
     def from_reals(cls, coeffs) -> "ComplexAlgVec":
@@ -162,11 +155,11 @@ class PolarDecomposition:
         return Mat2C(math.exp(self.xi / 2.0) * (exp_closed(vec, 1.0).m @ self.rotation.m))
 
 
-def polar_decompose(g: Mat2C, tol: float = 1e-12) -> PolarDecomposition:
-    """Unique factorization g = e^{xi/2} exp(X) k, X traceless Hermitian, k unitary.
+def det_split(g: Mat2C, tol: float = 1e-12) -> tuple[float, np.ndarray]:
+    """(xi, g1) with g = e^{xi/2} g1 and det g1 = 1, so xi = ln det g.
 
-    Requires det(g) real and positive (imaginary part within tol relative).
-    The positive factor is sqrt(g1 g1*) computed through `log_posdef`.
+    Requires det(g) real and positive (imaginary part within tol relative)
+    and not below 1e-300 in magnitude; raises NotInGLPlusError otherwise.
     """
     d = g.det()
     scale = max(1.0, abs(d))
@@ -177,7 +170,16 @@ def polar_decompose(g: Mat2C, tol: float = 1e-12) -> PolarDecomposition:
     if abs(d) < 1e-300:
         raise NotInGLPlusError("matrix is singular")
     xi = math.log(d.real)
-    g1 = math.exp(-xi / 2.0) * g.m
+    return xi, math.exp(-xi / 2.0) * g.m
+
+
+def polar_decompose(g: Mat2C, tol: float = 1e-12) -> PolarDecomposition:
+    """Unique factorization g = e^{xi/2} exp(X) k, X traceless Hermitian, k unitary.
+
+    Requires det(g) real and positive (see `det_split`).  The positive factor
+    is sqrt(g1 g1*) computed through `log_posdef`.
+    """
+    xi, g1 = det_split(g, tol)
     q = Mat2C(g1 @ g1.conj().T)
     x = log_posdef(q, tol=1e-9)
     half = x.u / 2.0
@@ -204,6 +206,17 @@ def axis_angle_rotation(axis, angle: float) -> np.ndarray:
     n = n / np.linalg.norm(n)
     K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
     return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
+
+
+def precess(alpha: np.ndarray, beta: np.ndarray, t: float) -> np.ndarray:
+    """alpha rotated about beta by the angle t |beta| (a copy of alpha when beta = 0).
+
+    The H0 part of the control along gamma(t) = exp(t(a+b)) exp(-tb).
+    """
+    nb = float(np.linalg.norm(beta))
+    if nb == 0.0:
+        return alpha.copy()
+    return axis_angle_rotation(beta / nb, t * nb) @ alpha
 
 
 def su2_from_axis_angle(axis, angle: float) -> Mat2C:
@@ -257,14 +270,7 @@ class ProductExpParams:
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        if a.shape != (7,):
-            raise ValueError("expected 7 real constants")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("constants must be finite")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", _frozen_array(self.alpha, float, (7,), "constants"))
 
     @property
     def w1(self) -> complex:
@@ -295,9 +301,9 @@ class ProductExpParams:
     def coefficients(self, t: float) -> np.ndarray:
         """Complex coefficients (c0..c6, c7) of g(t) over {e_0..e_6, i e_0}."""
         a = self.alpha
-        w2 = self.w2
-        m1, n1 = self.m1(t), self.n1(t)
-        m2, n2 = self.m2(t), self.n2(t)
+        w1, w2 = self.w1, self.w2
+        m1, n1 = cmath.cosh(w1 * t), sinch(w1, t)
+        m2, n2 = math.cos(w2 * t), sinc_scaled(w2, t)
         ee = math.exp(a[0] * t / 2.0)
         mix = n1 * n2
         c = np.empty(8, dtype=complex)

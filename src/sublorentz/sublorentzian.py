@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgCoords, Mat2C, NotInGLPlusError, basis_matrix, format_float, to_coords
+from .algebra import AlgCoords, Mat2C, _frozen_array, basis_matrix, format_float, to_coords
 from .expmap import (
     ProductExpParams,
     aligning_rotation,
-    axis_angle_rotation,
+    det_split,
+    precess,
     sinc_scaled,
     sinch,
 )
@@ -73,11 +74,7 @@ class ExtremalParams:
     regime: str
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        if a.shape != (7,):
-            raise ValueError("expected 7 constants")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("constants must be finite")
+        a = _frozen_array(self.alpha, float, (7,), "constants")
         norm_sq = float(np.dot(a[1:4], a[1:4]))
         if self.regime == REGIME_TIMELIKE:
             residual = a[0] - math.sqrt(1.0 + norm_sq)
@@ -93,8 +90,6 @@ class ExtremalParams:
                 )
         else:
             raise ValueError(f"unknown regime {self.regime!r}")
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
     @classmethod
@@ -159,15 +154,9 @@ class CovectorState:
     psi: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.psi, dtype=float)
-        if p.shape != (7,):
-            raise ValueError("expected 7 covector coordinates")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("covector must be finite")
+        p = _frozen_array(self.psi, float, (7,), "covector")
         if float(np.max(np.abs(p))) == 0.0:
             raise ValueError("covector must never vanish along an extremal")
-        p = p.copy()
-        p.setflags(write=False)
         object.__setattr__(self, "psi", p)
 
     def pairing(self, u_dual) -> float:
@@ -183,17 +172,17 @@ def covector_rhs(psi, u_dual) -> np.ndarray:
     psi0 is conserved, the su(2) block is driven by the H0 block and vice
     versa through the cross products below.
     """
-    p = np.asarray(psi, dtype=float)
-    u0, u1, u2, u3 = (float(x) for x in u_dual)
+    _, p1, p2, p3, p4, p5, p6 = np.asarray(psi, dtype=float).tolist()
+    _, u1, u2, u3 = np.asarray(u_dual, dtype=float).tolist()
     return np.array(
         [
             0.0,
-            u2 * p[6] - u3 * p[5],
-            -u1 * p[6] + u3 * p[4],
-            u1 * p[5] - u2 * p[4],
-            u2 * p[3] - u3 * p[2],
-            -u1 * p[3] + u3 * p[1],
-            u1 * p[2] - u2 * p[1],
+            u2 * p6 - u3 * p5,
+            -u1 * p6 + u3 * p4,
+            u1 * p5 - u2 * p4,
+            u2 * p3 - u3 * p2,
+            -u1 * p3 + u3 * p1,
+            u1 * p2 - u2 * p1,
         ]
     )
 
@@ -221,17 +210,13 @@ class PathSample:
     covectors: tuple | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) != len(self.points):
-            raise ValueError("times and points must have equal length")
+        t = _frozen_array(self.times, float, (len(self.points),), "times")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
         if self.controls is not None and len(self.controls) != len(t):
             raise ValueError("controls length mismatch")
         if self.covectors is not None and len(self.covectors) != len(t):
             raise ValueError("covectors length mismatch")
-        t = t.copy()
-        t.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "points", tuple(self.points))
         if self.controls is not None:
@@ -350,19 +335,7 @@ def pontryagin_integrate(
 
     def f(gm, p):
         # Normal flow: su(2) covector block is constant, H0 block precesses.
-        dg = gm @ _control_matrix(p[:4])
-        dp = np.array(
-            [
-                0.0,
-                p[2] * p[6] - p[3] * p[5],
-                -p[1] * p[6] + p[3] * p[4],
-                p[1] * p[5] - p[2] * p[4],
-                0.0,
-                0.0,
-                0.0,
-            ]
-        )
-        return dg, dp
+        return gm @ _control_matrix(p[:4]), covector_rhs(p, p[:4])
 
     times, points, controls, covectors = [], [], [], []
 
@@ -397,15 +370,12 @@ def extremal_path(p: ExtremalParams, ts) -> PathSample:
     """
     a = p.alpha
     av, bv = a[1:4], a[4:7]
-    nb = float(np.linalg.norm(bv))
     pp = p.product_params()
     times = np.asarray(ts, dtype=float)
     points, controls, covectors = [], [], []
     for t in times:
         points.append(pp.point(float(t)))
-        rotated = (
-            axis_angle_rotation(bv / nb, t * nb) @ av if nb > 0 else av.copy()
-        )
+        rotated = precess(av, bv, t)
         controls.append(AlgCoords(np.concatenate([[a[0]], rotated, np.zeros(4)])))
         covectors.append(CovectorState(np.concatenate([[a[0]], -rotated, -bv])))
     return PathSample(times, tuple(points), tuple(controls), tuple(covectors))
@@ -505,17 +475,6 @@ class CausalReport:
         )
 
 
-def _xi_split(g: Mat2C) -> tuple[float, Mat2C]:
-    d = g.det()
-    scale = max(1.0, abs(d))
-    if abs(d.imag) > 1e-12 * scale:
-        raise NotInGLPlusError(f"determinant {d} is not real")
-    if d.real <= 0.0:
-        raise NotInGLPlusError(f"determinant {d} is not positive")
-    xi = math.log(d.real)
-    return xi, Mat2C(math.exp(-xi / 2.0) * g.m)
-
-
 def causal_classify(
     g: Mat2C, tol: float = 1e-7, seed: int = 0, budget: int = 240
 ) -> CausalReport:
@@ -526,8 +485,8 @@ def causal_classify(
     bracket the trichotomy xi > = < eta is decided directly; with an inexact
     one, xi inside [lower - tol, upper + tol] is reported indeterminate.
     """
-    xi, g1 = _xi_split(g)
-    bracket = distance_shoot(g1, tol=tol, seed=seed, budget=budget)
+    xi, g1 = det_split(g)
+    bracket = distance_shoot(Mat2C(g1), tol=tol, seed=seed, budget=budget)
     extrapolated = False
     if bracket.witness is None and bracket.upper == 0.0:
         # scalar ray: eta = 0 exactly
@@ -597,7 +556,6 @@ def longest_arc(
     else:
         geo_params = SRGeodesicParams(np.array([1.0, 0.0, 0.0]), np.zeros(3))
     av, bv = geo_params.alpha_vec, geo_params.beta_vec
-    nb = float(np.linalg.norm(bv))
 
     times = np.linspace(0.0, total, max(samples, 2))
     points, controls = [], []
@@ -605,7 +563,7 @@ def longest_arc(
         s = sh_c * t
         pt = Mat2C(math.exp(ch_c * t / 2.0) * sr_geodesic(geo_params, s).m)
         points.append(pt)
-        rotated = axis_angle_rotation(bv / nb, s * nb) @ av if nb > 0 else av.copy()
+        rotated = precess(av, bv, s)
         controls.append(
             AlgCoords(np.concatenate([[ch_c], sh_c * rotated, np.zeros(4)]))
         )
@@ -621,8 +579,8 @@ def causal_relation(x: Mat2C, y: Mat2C, tol: float = 1e-7, seed: int = 0) -> str
     chronological (timelike-reachable), causal-null (isotropic boundary,
     including x = y by the p <= p convention), unrelated, or indeterminate.
     """
-    _xi_split(x)
-    _xi_split(y)
+    det_split(x)
+    det_split(y)
     rel = causal_classify(x.inverse() @ y, tol=tol, seed=seed)
     return {
         CLASS_TIMELIKE: "chronological",
@@ -667,6 +625,8 @@ def abnormal_extremal(
             raise ValueError("isotropic regime requires kappa without zero crossings")
     elif regime != REGIME_TIMELIKE:
         raise ValueError(f"unknown regime {regime!r}")
+    if steps < 1:
+        raise ValueError("steps must be positive")
     bhat = bv / nb
     T = float(kt[-1])
     h = T / steps

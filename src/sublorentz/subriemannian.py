@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares, minimize, root
 
-from .algebra import AlgCoords, Mat2C, from_coords
+from .algebra import AlgCoords, Mat2C, _frozen_array, coords, from_coords
 from .expmap import (
     ProductExpParams,
     exp_series,
     polar_decompose,
+    precess,
     su2_exp,
     aligning_rotation,
 )
@@ -42,19 +43,13 @@ class SRGeodesicParams:
     beta_vec: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha_vec, dtype=float)
-        b = np.asarray(self.beta_vec, dtype=float)
-        if a.shape != (3,) or b.shape != (3,):
-            raise ValueError("alpha_vec and beta_vec must be 3-vectors")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("parameters must be finite")
+        a = _frozen_array(self.alpha_vec, float, (3,), "alpha_vec")
+        b = _frozen_array(self.beta_vec, float, (3,), "beta_vec")
         if abs(np.dot(a, a) - 1.0) > 1e-12:
             raise ValueError(
                 "alpha_vec must be a unit vector: |alpha|^2 - 1 = "
                 f"{np.dot(a, a) - 1.0:.3e} exceeds 1e-12"
             )
-        a = a.copy(); a.setflags(write=False)
-        b = b.copy(); b.setflags(write=False)
         object.__setattr__(self, "alpha_vec", a)
         object.__setattr__(self, "beta_vec", b)
 
@@ -93,15 +88,8 @@ def sr_geodesic_two_factor(p: SRGeodesicParams, t: float) -> Mat2C:
 
 def sr_geodesic_control(p: SRGeodesicParams, t: float) -> AlgCoords:
     """Left-logarithmic derivative of the geodesic: the rotated alpha_vec in H0."""
-    b = p.beta
-    if b == 0.0:
-        v = p.alpha_vec
-    else:
-        from .expmap import axis_angle_rotation
-
-        v = axis_angle_rotation(p.beta_vec / b, t * b) @ p.alpha_vec
     u = np.zeros(8)
-    u[1:4] = v
+    u[1:4] = precess(p.alpha_vec, p.beta_vec, t)
     return AlgCoords(u)
 
 
@@ -206,28 +194,6 @@ class DistanceBracket:
         )
 
 
-def _su2_coords(S: np.ndarray) -> np.ndarray:
-    """Coordinates (c1,c2,c3) of a traceless skew-Hermitian matrix over e_4..e_6."""
-    return np.array(
-        [
-            (S[0, 1] + S[1, 0]).imag,
-            (S[1, 0] - S[0, 1]).real,
-            (S[0, 0] - S[1, 1]).imag,
-        ]
-    )
-
-
-def _h0_coords(Hm: np.ndarray) -> np.ndarray:
-    """Coordinates (x1,x2,x3) of a traceless Hermitian matrix over e_1..e_3."""
-    return np.array(
-        [
-            (Hm[0, 1] + Hm[1, 0]).real,
-            (Hm[0, 1] - Hm[1, 0]).imag,
-            (Hm[0, 0] - Hm[1, 1]).real,
-        ]
-    )
-
-
 def _log_sl2(M: np.ndarray, branch: int) -> np.ndarray | None:
     """Traceless logarithm of a unimodular matrix on the given eigenvalue branch.
 
@@ -257,7 +223,7 @@ def _candidate_from_root(g1m: np.ndarray, c: np.ndarray, branch: int):
     L = _log_sl2(g1m @ su2_exp(c).m, branch)
     if L is None:
         return None
-    v = _h0_coords((L + L.conj().T) / 2.0)
+    v = coords(L)[1:4]
     T = float(np.linalg.norm(v))
     if T < 1e-12:
         return None
@@ -315,12 +281,9 @@ def distance_shoot(
         # Boost target: the one-parameter subgroup through it is a metric line.
         x = pd.boost.u[1:4]
         T = float(np.linalg.norm(x))
-        witness = GeodesicWitness(
-            SRGeodesicParams(x / T if T > 0 else np.array([1.0, 0.0, 0.0]), np.zeros(3)),
-            T,
-            residual=float(np.max(np.abs(sr_geodesic(SRGeodesicParams(
-                x / T if T > 0 else np.array([1.0, 0.0, 0.0]), np.zeros(3)), T).m - g1.m))),
-        )
+        params = SRGeodesicParams(x / T if T > 0 else np.array([1.0, 0.0, 0.0]), np.zeros(3))
+        residual = float(np.max(np.abs(sr_geodesic(params, T).m - g1.m)))
+        witness = GeodesicWitness(params, T, residual)
         return DistanceBracket(lower, max(T, lower), True, witness, (witness,))
 
     if t_cap is None:
@@ -363,7 +326,7 @@ def distance_shoot(
                 L = _log_sl2(g1m @ su2_exp(c).m, _b)
                 if L is None:
                     return np.full(3, 1e6)
-                return _su2_coords((L - L.conj().T) / 2.0) - c
+                return coords(L)[4:7] - c
 
             sol = root(fixed_point, c0, method="hybr", tol=1e-13)
             if not sol.success:
@@ -390,7 +353,7 @@ def distance_shoot(
         if float(np.linalg.norm(x_boost)) > 1e-6:
             log_k = _log_sl2(pd.rotation.m, 0)
             if log_k is not None:
-                c_seed = -_su2_coords((log_k - log_k.conj().T) / 2.0)
+                c_seed = -coords(log_k)[4:7]
                 polish_starts.append(np.concatenate([x_boost, c_seed]))
         for x0 in polish_starts:
             polished = _polish_candidate(g1m, x0, tol)
@@ -564,9 +527,9 @@ def hermitian_endpoint_check(alpha_vec, beta_vec, tol: float = 1e-9) -> Hermitic
     defect = float(np.linalg.norm(endpoint - endpoint.conj().T))
 
     # The paired x, y satisfy 4xy = alpha.beta identically; guard the frame math.
-    assert abs(4.0 * x * y - float(np.dot(av, bv))) <= 1e-10 * max(
-        1.0, abs(float(np.dot(av, bv)))
-    )
+    ab = float(np.dot(av, bv))
+    if abs(4.0 * x * y - ab) > 1e-10 * max(1.0, abs(ab)):
+        raise RuntimeError(f"inconsistent frame: 4xy = {4.0 * x * y:.17g}, alpha.beta = {ab:.17g}")
 
     if m["collinear"] <= tol:
         case = "collinear"

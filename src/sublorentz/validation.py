@@ -65,8 +65,23 @@ class CriterionResult:
             self.failures.append(label)
 
 
-def _timed(number, name, limit):
-    return CriterionResult(number, name, True, limit, 0.0)
+# Criterion number -> name, shared by the results and the `run_all` filter.
+_NAMES = {
+    1: "algebraic-ground-truth",
+    2: "exp-oracle-equivalence",
+    3: "pontryagin-vs-closed-form",
+    4: "metric-line-distance",
+    5: "causal-distance-law",
+    6: "orthogonal-cut-coincidence",
+    7: "hermitian-classifier",
+    8: "abnormal-extremals",
+    9: "conjugation-isometry",
+    10: "reverse-triangle",
+}
+
+
+def _timed(number, limit):
+    return CriterionResult(number, _NAMES[number], True, limit, 0.0)
 
 
 def _finish(res: CriterionResult, t0: float) -> CriterionResult:
@@ -89,7 +104,7 @@ BRACKET_TABLE = (
 
 def criterion_1() -> CriterionResult:
     """Structure constants, antisymmetry, Jacobi, Clifford anticommutation."""
-    res = _timed(1, "algebraic-ground-truth", 1.0)
+    res = _timed(1, 1.0)
     t0 = time.perf_counter()
     table = structure_constants()
     worst = 0.0
@@ -113,7 +128,7 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2(seed: int = 1202) -> CriterionResult:
     """Closed-form exponential against the series oracle on 1000 random inputs."""
-    res = _timed(2, "exp-oracle-equivalence", 5.0)
+    res = _timed(2, 5.0)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -135,7 +150,7 @@ def criterion_2(seed: int = 1202) -> CriterionResult:
 
 def criterion_3(seed: int = 1303) -> CriterionResult:
     """Pontryagin integration against the closed form, 50 draws per regime."""
-    res = _timed(3, "pontryagin-vs-closed-form", 60.0)
+    res = _timed(3, 60.0)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     T, steps = 5.0, 5000  # step 1e-3
@@ -169,7 +184,7 @@ def criterion_3(seed: int = 1303) -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     """Shooting brackets on boost targets exp(T e1) reproduce the metric-line distance."""
-    res = _timed(4, "metric-line-distance", 120.0)
+    res = _timed(4, 120.0)
     t0 = time.perf_counter()
     for T in (0.5, 1.0, 2.0):
         target = exp_closed(ComplexAlgVec.from_reals([0.0, 1.0, 0.0, 0.0]), T)
@@ -183,7 +198,7 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     """Distance law sqrt(xi^2 - eta^2) with the timelike/isotropic/unreachable trichotomy."""
-    res = _timed(5, "causal-distance-law", 120.0)
+    res = _timed(5, 120.0)
     t0 = time.perf_counter()
 
     def target(xi, eta):
@@ -213,7 +228,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Orthogonal-family cut: distinct alpha choices meet at 2*pi/sqrt(beta^2-1)."""
-    res = _timed(6, "orthogonal-cut-coincidence", 1.0)
+    res = _timed(6, 1.0)
     t0 = time.perf_counter()
     beta = 2.0
     t_cut = 2.0 * math.pi / math.sqrt(beta * beta - 1.0)
@@ -252,7 +267,7 @@ def _osn_boundary_margin(av, bv) -> float:
 
 def criterion_7(seed: int = 1707) -> CriterionResult:
     """Hermitian-endpoint classifier against the series-oracle defect, 1000 draws."""
-    res = _timed(7, "hermitian-classifier", 30.0)
+    res = _timed(7, 30.0)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     draws = []
@@ -328,7 +343,7 @@ def criterion_7(seed: int = 1707) -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Strictly abnormal closed forms and the nonstrict (subgroup) detector."""
-    res = _timed(8, "abnormal-extremals", 10.0)
+    res = _timed(8, 10.0)
     t0 = time.perf_counter()
     T, steps = 3.0, 600
     nodes = np.linspace(0.0, T, 2 * steps + 1)  # half-step nodes: interpolation exact
@@ -386,7 +401,7 @@ def _random_su2(rng) -> Mat2C:
 
 def criterion_9(seed: int = 1909) -> CriterionResult:
     """Conjugation by SU(2) preserves classified distances."""
-    res = _timed(9, "conjugation-isometry", 300.0)
+    res = _timed(9, 300.0)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -415,7 +430,7 @@ def criterion_9(seed: int = 1909) -> CriterionResult:
 
 def criterion_10(seed: int = 2010) -> CriterionResult:
     """Reverse triangle inequality on causal triples from longest arcs and perturbations."""
-    res = _timed(10, "reverse-triangle", 300.0)
+    res = _timed(10, 300.0)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
 
@@ -489,20 +504,6 @@ CRITERIA = (
     criterion_9,
     criterion_10,
 )
-
-
-_NAMES = {
-    1: "algebraic-ground-truth",
-    2: "exp-oracle-equivalence",
-    3: "pontryagin-vs-closed-form",
-    4: "metric-line-distance",
-    5: "causal-distance-law",
-    6: "orthogonal-cut-coincidence",
-    7: "hermitian-classifier",
-    8: "abnormal-extremals",
-    9: "conjugation-isometry",
-    10: "reverse-triangle",
-}
 
 
 def run_all(only: str | None = None) -> list[CriterionResult]:

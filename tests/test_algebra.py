@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sublorentz import (
+    REGIME_TIMELIKE,
     AlgCoords,
+    ComplexAlgVec,
+    CovectorState,
+    ExtremalParams,
     Mat2C,
+    PathSample,
+    ProductExpParams,
+    SRGeodesicParams,
+    StructureTable,
     basis_matrix,
     clifford_check,
     commutator,
@@ -195,6 +203,45 @@ class TestCoordinates:
         assert AlgCoords.basis(5).in_su2()
         assert not AlgCoords.basis(7).in_gl_plus()
         assert AlgCoords.basis(3).in_gl_plus()
+
+
+_E1 = np.array([1.0, 0.0, 0.0])
+_POINTS = (Mat2C.identity(),) * 3
+
+# Each array-carrying boundary type: (build from one array -> the stored array, a valid array).
+FROZEN_FIELDS = {
+    "Mat2C.m": (lambda v: Mat2C(v).m, np.array([[1.0, 2j], [0.5, -1.0]])),
+    "AlgCoords.u": (lambda v: AlgCoords(v).u, np.arange(8.0)),
+    "StructureTable.C": (lambda v: StructureTable(v).C, np.ones((7, 7, 7))),
+    "ComplexAlgVec.z": (lambda v: ComplexAlgVec(v).z, np.array([1.0, 1j, 0.5, -2.0])),
+    "ProductExpParams.alpha": (lambda v: ProductExpParams(v).alpha, np.arange(7.0)),
+    "SRGeodesicParams.alpha_vec": (lambda v: SRGeodesicParams(v, _E1).alpha_vec, _E1.copy()),
+    "SRGeodesicParams.beta_vec": (lambda v: SRGeodesicParams(_E1, v).beta_vec, np.arange(3.0)),
+    "ExtremalParams.alpha": (
+        lambda v: ExtremalParams(v, REGIME_TIMELIKE).alpha,
+        np.array([1.0, 0.0, 0.0, 0.0, 0.2, 0.3, 0.4]),
+    ),
+    "CovectorState.psi": (lambda v: CovectorState(v).psi, np.arange(7.0)),
+    "PathSample.times": (lambda v: PathSample(v, _POINTS).times, np.arange(3.0)),
+}
+
+
+@pytest.mark.parametrize("field", FROZEN_FIELDS)
+def test_frozen_array_fields(field):
+    build, good = FROZEN_FIELDS[field]
+    with pytest.raises(ValueError):
+        build(np.append(good, good.flat[-1]))
+    bad_values = [np.nan, np.inf] + ([complex(0.0, np.inf)] if good.dtype.kind == "c" else [])
+    for value in bad_values:
+        bad = good.copy()
+        bad.flat[-1] = value
+        with pytest.raises(ValueError):
+            build(bad)
+    source = good.copy()
+    stored = build(source)
+    assert np.array_equal(stored, good)
+    assert not stored.flags.writeable
+    assert not np.shares_memory(stored, source)
 
 
 class TestMat2C:

@@ -122,6 +122,13 @@ class TestGeodesic:
         )
         assert code2 == 0
 
+    def test_overflow_exit_code(self, capsys):
+        code, out, err = run(
+            capsys, "geodesic", "--kind", "subriemannian", "--alpha", "1,0,0", "--t-max", "1e308"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 
 class TestClassify:
     def test_timelike(self, capsys):
@@ -163,6 +170,16 @@ class TestClassify:
             capsys, "classify", "--matrix", json.dumps(Mat2C(np.diag([1.0, -1.0])).to_json())
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "matrix",
+        ['{"m": [[1,2],[3,4]]}', '{"m": [[[1,0]]]}', '{"m": "x"}'],
+        ids=["real-2x2", "short", "string"],
+    )
+    def test_malformed_matrix_exit_code(self, capsys, matrix):
+        code, out, err = run(capsys, "classify", "--matrix", matrix)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
     def test_determinism(self, capsys):
         g = Mat2C(math.e * np.eye(2)).to_json()
@@ -222,6 +239,21 @@ class TestExtremal:
         assert code == 0
         path = PathSample.from_csv(io.StringIO(out))
         assert len(path.times) == 201
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extremal", "pontryagin", "--regime", "timelike"],
+            ["extremal", "pontryagin", "--regime", "timelike", "--psi0", "1,0,0,0,0,0,0",
+             "--step", "0"],
+            ["extremal", "abnormal", "--regime", "timelike", "--steps", "0"],
+        ],
+        ids=["no-psi0", "zero-step", "zero-steps"],
+    )
+    def test_missing_or_zero_size_exit_code(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
 
 class TestHermitianCheck:

@@ -272,6 +272,21 @@ class TestHermitianEndpoint:
         assert abs(r1.x - r2.x) < 1e-10 and abs(r1.y - r2.y) < 1e-10
         assert r1.case == r2.case
 
+    def test_inconsistent_frame_raises(self, monkeypatch):
+        # The 4xy = alpha.beta guard is a real check, not an assert `python -O` strips.
+        import sublorentz.subriemannian as sr
+
+        margins = sr._osn_margins
+
+        def skewed(av, bv):
+            m = margins(av, bv)
+            m["x"] += 0.1
+            return m
+
+        monkeypatch.setattr(sr, "_osn_margins", skewed)
+        with pytest.raises(RuntimeError, match="inconsistent frame"):
+            hermitian_endpoint_check([1.0, 0.2, 0.0], [0.0, 1.3, 0.4])
+
 
 class TestUnconvergedBracket:
     def test_rotation_target_is_honest(self):
