@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: exp, geodesic, classify, distance, longest-arc, extremal
-(pontryagin/abnormal), hermitian-check, validate, plot-script.  Every run
-echoes its fully resolved configuration (defaults included) in the output
-header; all numeric output uses 17 significant digits; identical
-configuration and seed produce byte-identical output.
+(pontryagin/abnormal), hermitian-check, validate, plot-script.  Each parser
+declares exactly the options its handler reads, and every run echoes the
+parsed options (defaults included) in the output header; all numeric output
+uses 17 significant digits; identical configuration and seed produce
+byte-identical output.
 
 Exit codes: 0 success, 2 parse/validation error, 3 indeterminate
 classification, 4 suite failure.
@@ -33,6 +34,7 @@ from .sublorentzian import (
     REGIME_ISOTROPIC,
     REGIME_TIMELIKE,
     ExtremalParams,
+    IntegrationDivergedError,
     PathSample,
     UnreachableTargetError,
     abnormal_extremal,
@@ -117,11 +119,10 @@ def _parse_kappa(text: str):
     return np.array(times), np.array(values)
 
 
-def _config(args, fields) -> dict:
-    cfg = {"subcommand": args.command}
-    for f in fields:
-        cfg[f.replace("_", "-")] = getattr(args, f)
-    return cfg
+def _config(args) -> dict:
+    """The parsed options in declaration order, keyed by flag name: the echoed config."""
+    opts = {k.replace("_", "-"): v for k, v in vars(args).items() if k not in ("command", "fn")}
+    return {"subcommand": args.command, **opts}
 
 
 def _json_payload(cfg: dict, result) -> str:
@@ -137,8 +138,7 @@ def _path_csv(path: PathSample, cfg: dict, extra=None) -> str:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def cmd_exp(args) -> int:
-    cfg = _config(args, ["coeffs", "t", "out"])
+def cmd_exp(args, cfg: dict) -> int:
     coeffs = [parse_complex(tok) for tok in args.coeffs.split(",")]
     if len(coeffs) != 4:
         raise ValueError("exp expects 4 coefficients z0,z1,z2,z3")
@@ -151,11 +151,11 @@ def cmd_exp(args) -> int:
     return EXIT_OK
 
 
-def cmd_geodesic(args) -> int:
-    cfg = _config(
-        args,
-        ["kind", "alpha", "beta", "alpha0", "t_max", "samples", "normalize", "out"],
-    )
+def cmd_geodesic(args, cfg: dict) -> int:
+    if args.alpha0 is not None and args.kind != "timelike":
+        raise ValueError("--alpha0 applies only to --kind timelike")
+    if args.normalize and args.kind == "timelike":
+        raise ValueError("--normalize does not apply to --kind timelike (a0 is derived)")
     av = _parse_floats(args.alpha, 3)
     bv = _parse_floats(args.beta, 3)
     ts = np.linspace(0.0, args.t_max, args.samples) if args.samples > 0 else np.array([])
@@ -166,14 +166,12 @@ def cmd_geodesic(args) -> int:
         controls = tuple(sr_geodesic_control(p, float(t)) for t in ts)
         covectors = None
         target_sq = 1.0
-        form = "riemannian"
     else:
         regime = _REGIMES[args.kind]
-        if regime == REGIME_TIMELIKE:
-            if args.alpha0 is not None:
-                params = ExtremalParams(np.concatenate([[args.alpha0], av, bv]), regime)
-            else:
-                params = ExtremalParams.timelike(av, bv)
+        if args.alpha0 is not None:  # timelike only, checked above
+            params = ExtremalParams(np.concatenate([[args.alpha0], av, bv]), regime)
+        elif regime == REGIME_TIMELIKE:
+            params = ExtremalParams.timelike(av, bv)
         else:
             params = ExtremalParams.isotropic(av, bv, normalize=args.normalize)
         path = extremal_path(params, ts) if len(ts) else None
@@ -181,14 +179,13 @@ def cmd_geodesic(args) -> int:
         controls = path.controls if path else ()
         covectors = path.covectors if path else None
         target_sq = 1.0 if regime == REGIME_TIMELIKE else 0.0
-        form = "lorentzian"
 
     det_re, det_im, arc_res = [], [], []
     for pt, u in zip(points, controls):
         d = pt.det()
         det_re.append(d.real)
         det_im.append(d.imag)
-        if form == "riemannian":
+        if args.kind == "subriemannian":
             q = float(np.dot(u.u[1:7], u.u[1:7]))
         else:
             q = float(u.u[0] ** 2 - np.dot(u.u[1:7], u.u[1:7]))
@@ -206,24 +203,21 @@ def cmd_geodesic(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    cfg = _config(args, ["matrix", "tol", "seed", "budget", "out"])
+def cmd_classify(args, cfg: dict) -> int:
     g = _load_matrix(args.matrix)
     report = causal_classify(g, tol=args.tol, seed=args.seed, budget=args.budget)
     _emit(_json_payload(cfg, report.to_json()), args.out)
     return EXIT_INDETERMINATE if report.causal_class == CLASS_INDETERMINATE else EXIT_OK
 
 
-def cmd_distance(args) -> int:
-    cfg = _config(args, ["matrix", "tol", "seed", "budget", "out"])
+def cmd_distance(args, cfg: dict) -> int:
     g1 = _load_matrix(args.matrix)
     bracket = distance_shoot(g1, tol=args.tol, seed=args.seed, budget=args.budget)
     _emit(_json_payload(cfg, bracket.to_json()), args.out)
     return EXIT_OK
 
 
-def cmd_longest_arc(args) -> int:
-    cfg = _config(args, ["matrix", "samples", "tol", "seed", "out"])
+def cmd_longest_arc(args, cfg: dict) -> int:
     g = _load_matrix(args.matrix)
     try:
         path = longest_arc(g, samples=args.samples, tol=args.tol, seed=args.seed)
@@ -238,26 +232,26 @@ def cmd_longest_arc(args) -> int:
     return EXIT_OK
 
 
-def cmd_extremal(args) -> int:
-    if args.mode == "pontryagin":
-        cfg = _config(args, ["mode", "psi0", "regime", "T", "step", "out"])
-        if args.psi0 is None or not args.step > 0:
-            raise ValueError("pontryagin needs --psi0 and a positive --step")
-        psi0 = _parse_floats(args.psi0, 7)
-        steps = max(1, round(args.T / args.step))
-        path = pontryagin_integrate(psi0, _REGIMES[args.regime], args.T, steps,
-                                    record_every=max(1, steps // 1000))
-    else:
-        cfg = _config(args, ["mode", "beta_dir", "regime", "kappa", "steps", "out"])
-        kt, kv = _parse_kappa(args.kappa)
-        bv = _parse_floats(args.beta_dir, 3)
-        path = abnormal_extremal(kt, kv, bv, _REGIMES[args.regime], args.steps)
+def cmd_pontryagin(args, cfg: dict) -> int:
+    if args.psi0 is None or not args.step > 0:
+        raise ValueError("pontryagin needs --psi0 and a positive --step")
+    psi0 = _parse_floats(args.psi0, 7)
+    steps = max(1, round(args.T / args.step))
+    path = pontryagin_integrate(psi0, _REGIMES[args.regime], args.T, steps,
+                                record_every=max(1, steps // 1000))
     _emit(_path_csv(path, cfg), args.out)
     return EXIT_OK
 
 
-def cmd_hermitian_check(args) -> int:
-    cfg = _config(args, ["alpha", "beta", "tol", "out"])
+def cmd_abnormal(args, cfg: dict) -> int:
+    kt, kv = _parse_kappa(args.kappa)
+    bv = _parse_floats(args.beta_dir, 3)
+    path = abnormal_extremal(kt, kv, bv, _REGIMES[args.regime], args.steps)
+    _emit(_path_csv(path, cfg), args.out)
+    return EXIT_OK
+
+
+def cmd_hermitian_check(args, cfg: dict) -> int:
     report = hermitian_endpoint_check(
         _parse_floats(args.alpha, 3), _parse_floats(args.beta, 3), tol=args.tol
     )
@@ -265,13 +259,10 @@ def cmd_hermitian_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    cfg = _config(args, ["only", "seed", "out"])
+def cmd_validate(args, cfg: dict) -> int:
     results = validation.run_all(only=args.only)
     payload = []
-    all_passed = True
     for r in results:
-        all_passed &= r.passed
         payload.append(
             {
                 "number": r.number,
@@ -286,12 +277,12 @@ def cmd_validate(args) -> int:
             f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.number} {r.name} "
             f"({r.elapsed:.2f}s)\n"
         )
+    all_passed = all(r.passed for r in results)
     _emit(_json_payload(cfg, {"criteria": payload, "all_passed": all_passed}), args.out)
     return EXIT_OK if all_passed else EXIT_SUITE_FAILURE
 
 
-def cmd_plot_script(args) -> int:
-    cfg = _config(args, ["csv", "x", "y", "title", "out"])
+def cmd_plot_script(args, cfg: dict) -> int:
     columns = args.y.split(",")
     header = None
     with open(args.csv) as fh:
@@ -322,28 +313,37 @@ def cmd_plot_script(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_common(sp, step_default=1e-3):
+def _add_tol_seed(sp):
     sp.add_argument("--tol", type=float, default=1e-7, help="numerical tolerance")
     sp.add_argument("--seed", type=int, default=0, help="deterministic seed")
-    sp.add_argument("--step", type=float, default=step_default, help="integrator step size")
-    sp.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # full names only (--step never means --steps); inherited
+        super().__init__(allow_abbrev=False, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """One leaf parser per handler, declaring exactly the options it reads, in echo order."""
+    ap = _Parser(
         prog="sublorentz",
         description="Sub-Lorentzian geometry on GL+(2,C): exponentials, extremals, "
         "causal classification, distances, validation suites.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    leaves = []
 
-    p = sub.add_parser("exp", help="closed-form exponential with series cross-check")
+    def leaf(subs, name, fn, help):
+        p = subs.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        leaves.append(p)
+        return p
+
+    p = leaf(sub, "exp", cmd_exp, "closed-form exponential with series cross-check")
     p.add_argument("--coeffs", required=True, help="z0,z1,z2,z3 (complex literals allowed)")
     p.add_argument("--t", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(fn=cmd_exp)
 
-    p = sub.add_parser("geodesic", help="sample a geodesic or extremal to CSV")
+    p = leaf(sub, "geodesic", cmd_geodesic, "sample a geodesic or extremal to CSV")
     p.add_argument("--kind", choices=["subriemannian", "timelike", "isotropic"], required=True)
     p.add_argument("--alpha", required=True, help="a1,a2,a3")
     p.add_argument("--beta", default="0,0,0", help="a4,a5,a6")
@@ -352,59 +352,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--normalize", action="store_true",
-                   help="rescale alpha to the regime normalization instead of rejecting")
-    _add_common(p)
-    p.set_defaults(fn=cmd_geodesic)
+                   help="rescale alpha to the regime normalization instead of rejecting "
+                   "(subriemannian and isotropic)")
 
-    p = sub.add_parser("classify", help="causal classification of a group element")
+    p = leaf(sub, "classify", cmd_classify, "causal classification of a group element")
     p.add_argument("--matrix", required=True, help='matrix JSON, @file, or "-" for stdin')
+    _add_tol_seed(p)
     p.add_argument("--budget", type=int, default=240)
-    _add_common(p)
-    p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("distance", help="sub-Riemannian distance bracket on SL(2,C)")
+    p = leaf(sub, "distance", cmd_distance, "sub-Riemannian distance bracket on SL(2,C)")
     p.add_argument("--matrix", required=True)
+    _add_tol_seed(p)
     p.add_argument("--budget", type=int, default=240)
-    _add_common(p)
-    p.set_defaults(fn=cmd_distance)
 
-    p = sub.add_parser("longest-arc", help="sample the longest arc to a reachable target")
+    p = leaf(sub, "longest-arc", cmd_longest_arc, "sample the longest arc to a reachable target")
     p.add_argument("--matrix", required=True)
     p.add_argument("--samples", type=int, default=101)
-    _add_common(p)
-    p.set_defaults(fn=cmd_longest_arc)
+    _add_tol_seed(p)
 
     p = sub.add_parser("extremal", help="integrate minimum-principle or abnormal extremals")
-    p.add_argument("mode", choices=["pontryagin", "abnormal"])
-    p.add_argument("--psi0", help="psi0..psi6 (pontryagin)")
+    modes = p.add_subparsers(dest="mode", required=True)
+    p = leaf(modes, "pontryagin", cmd_pontryagin, "RK4 minimum-principle integration")
+    p.add_argument("--psi0", help="psi0..psi6")
     p.add_argument("--regime", choices=["timelike", "isotropic"], required=True)
-    p.add_argument("--T", type=float, default=1.0, help="final time (pontryagin)")
-    p.add_argument("--beta-dir", default="0,0,1", help="covector direction (abnormal)")
+    p.add_argument("--T", type=float, default=1.0, help="final time")
+    p.add_argument("--step", type=float, default=1e-3, help="integrator step size")
+    p = leaf(modes, "abnormal", cmd_abnormal, "abnormal extremal for a given gauge")
+    p.add_argument("--beta-dir", default="0,0,1", help="covector direction")
+    p.add_argument("--regime", choices=["timelike", "isotropic"], required=True)
     p.add_argument("--kappa", default="0:0,1:0.5",
-                   help="gauge samples t:v,t:v,... (abnormal; linear interpolation)")
-    p.add_argument("--steps", type=int, default=1000, help="integration steps (abnormal)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_extremal)
+                   help="gauge samples t:v,t:v,... (linear interpolation)")
+    p.add_argument("--steps", type=int, default=1000, help="integration steps")
 
-    p = sub.add_parser("hermitian-check", help="Hermitian-endpoint condition classifier")
+    p = leaf(sub, "hermitian-check", cmd_hermitian_check,
+             "Hermitian-endpoint condition classifier")
     p.add_argument("--alpha", required=True, help="a1,a2,a3")
     p.add_argument("--beta", required=True, help="b1,b2,b3")
-    _add_common(p)
-    p.set_defaults(fn=cmd_hermitian_check)
+    p.add_argument("--tol", type=float, default=1e-7, help="numerical tolerance")
 
-    p = sub.add_parser("validate", help="run the acceptance criteria")
+    p = leaf(sub, "validate", cmd_validate, "run the acceptance criteria")
     p.add_argument("--only", default=None, help="filter criteria by name substring or number")
-    _add_common(p)
-    p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("plot-script", help="emit a gnuplot script for an emitted CSV")
+    p = leaf(sub, "plot-script", cmd_plot_script, "emit a gnuplot script for an emitted CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--x", default="t")
     p.add_argument("--y", required=True, help="comma-separated column names")
     p.add_argument("--title", default="sublorentz path")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_plot_script)
 
+    for p in leaves:  # declared last, so echoed last
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     return ap
 
 
@@ -412,8 +408,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
+        return args.fn(args, _config(args))
+    except (ValueError, KeyError, OSError, OverflowError, IntegrationDivergedError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

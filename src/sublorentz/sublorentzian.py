@@ -320,10 +320,10 @@ def pontryagin_integrate(
         raise ValueError("psi0 must have 7 coordinates")
     norm_sq = float(np.dot(psi[1:4], psi[1:4]))
     if regime == REGIME_TIMELIKE:
-        if psi[0] <= 0 or abs(psi[0] ** 2 - norm_sq - 1.0) > 1e-9:
+        if not (psi[0] > 0 and abs(psi[0] ** 2 - norm_sq - 1.0) <= 1e-9):
             raise ValueError("timelike regime requires psi0 > 0 and psi0^2 - |psi_123|^2 = 1")
     elif regime == REGIME_ISOTROPIC:
-        if abs(psi[0] - 1.0) > 1e-12 or abs(norm_sq - 1.0) > 1e-9:
+        if not (abs(psi[0] - 1.0) <= 1e-12 and abs(norm_sq - 1.0) <= 1e-9):
             raise ValueError("isotropic regime requires psi0 = 1 and |psi_123| = 1")
     else:
         raise ValueError(f"unknown regime {regime!r}")

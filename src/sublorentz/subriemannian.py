@@ -33,6 +33,7 @@ from .expmap import (
 )
 
 _I2 = np.eye(2, dtype=complex)
+_BETA_CAP = 8.0  # shooting candidates with |beta| above it are pruned as non-minimal
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +250,6 @@ def distance_shoot(
     tol: float = 1e-7,
     budget: int = 240,
     seed: int = 0,
-    beta_cap: float = 8.0,
-    t_cap: float | None = None,
 ) -> DistanceBracket:
     """Bracket the distance from the identity to a unimodular target.
 
@@ -265,8 +264,8 @@ def distance_shoot(
     Feasible candidates (endpoint residual < tol) are minimized over T; the
     lower end is the hyperbolic projection bound.  Candidates in the
     orthogonal regime (beta > 1, alpha.beta = 0) running past the cut time,
-    or beyond the beta/T caps, are provably non-minimal and only used if
-    nothing else is found.  Deterministic for a fixed seed.
+    or beyond the caps |beta| > 8 or T > lower + 10, are provably non-minimal
+    and only used if nothing else is found.  Deterministic for a fixed seed.
     """
     _require_unimodular(g1)
     if tol <= 0:
@@ -286,12 +285,11 @@ def distance_shoot(
         witness = GeodesicWitness(params, T, residual)
         return DistanceBracket(lower, max(T, lower), True, witness, (witness,))
 
-    if t_cap is None:
-        t_cap = lower + 10.0
+    t_cap = lower + 10.0
     rng = np.random.default_rng(seed)
     branches = (0, 1, -1, 2, -2, 3, -3)
     n_starts = max(4, budget // len(branches))
-    starts = _shooting_starts(rng, n_starts - 1, min(13.0, beta_cap * 1.7))
+    starts = _shooting_starts(rng, n_starts - 1, min(13.0, _BETA_CAP * 1.7))
     g1m = g1.m
 
     feasible: list[tuple] = []
@@ -311,7 +309,7 @@ def distance_shoot(
             and abs(float(np.dot(av, bv))) <= 1e-9 * max(beta, 1.0)
             and T > cut_bound(beta) + 1e-9
         )
-        if orthogonal_cut or beta > beta_cap or T > t_cap:
+        if orthogonal_cut or beta > _BETA_CAP or T > t_cap:
             pruned.append(cand)
         else:
             feasible.append(cand)

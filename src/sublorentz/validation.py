@@ -126,11 +126,11 @@ def criterion_1() -> CriterionResult:
     return _finish(res, t0)
 
 
-def criterion_2(seed: int = 1202) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Closed-form exponential against the series oracle on 1000 random inputs."""
     res = _timed(2, 5.0)
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1202)
     worst = 0.0
     for _ in range(1000):
         z = rng.uniform(-2.1, 2.1, size=4) + 1j * rng.uniform(-2.1, 2.1, size=4)
@@ -148,11 +148,11 @@ def criterion_2(seed: int = 1202) -> CriterionResult:
     return _finish(res, t0)
 
 
-def criterion_3(seed: int = 1303) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Pontryagin integration against the closed form, 50 draws per regime."""
     res = _timed(3, 60.0)
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1303)
     T, steps = 5.0, 5000  # step 1e-3
     worst_dev = 0.0
     worst_drift = 0.0
@@ -265,11 +265,11 @@ def _osn_boundary_margin(av, bv) -> float:
     return min(qs)
 
 
-def criterion_7(seed: int = 1707) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Hermitian-endpoint classifier against the series-oracle defect, 1000 draws."""
     res = _timed(7, 30.0)
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1707)
     draws = []
     for _ in range(500):  # generic draws, almost surely non-Hermitian
         draws.append((rng.normal(size=3) * rng.uniform(0.3, 2.0),
@@ -399,11 +399,11 @@ def _random_su2(rng) -> Mat2C:
     return su2_exp(v)
 
 
-def criterion_9(seed: int = 1909) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Conjugation by SU(2) preserves classified distances."""
     res = _timed(9, 300.0)
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1909)
     worst = 0.0
     worst_width = 0.0
     for _ in range(20):
@@ -428,11 +428,11 @@ def criterion_9(seed: int = 1909) -> CriterionResult:
     return _finish(res, t0)
 
 
-def criterion_10(seed: int = 2010) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Reverse triangle inequality on causal triples from longest arcs and perturbations."""
     res = _timed(10, 300.0)
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2010)
 
     def boost_arc_point(q, direction, c, t, extra=None) -> Mat2C:
         s = math.sinh(c) * t

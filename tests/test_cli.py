@@ -4,11 +4,13 @@ import io
 import json
 import math
 
+import argparse
+
 import numpy as np
 import pytest
 
 from sublorentz import Mat2C, PathSample
-from sublorentz.cli import main
+from sublorentz.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -126,6 +128,20 @@ class TestGeodesic:
         code, out, err = run(
             capsys, "geodesic", "--kind", "subriemannian", "--alpha", "1,0,0", "--t-max", "1e308"
         )
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "subriemannian", "--alpha", "1,0,0", "--alpha0", "1.5"],
+            ["--kind", "isotropic", "--alpha", "1,0,0", "--alpha0", "1.5"],
+            ["--kind", "timelike", "--alpha", "0.3,0,0", "--normalize"],
+        ],
+        ids=["alpha0-subriemannian", "alpha0-isotropic", "normalize-timelike"],
+    )
+    def test_option_ignored_by_kind_exit_code(self, capsys, argv):
+        code, out, err = run(capsys, "geodesic", *argv, "--samples", "3")
         assert code == 2
         assert out == "" and err.startswith("error:")
 
@@ -255,6 +271,25 @@ class TestExtremal:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squares overflow to inf
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pontryagin", "--regime", "timelike", "--psi0", "1e155,1e155,0,0,0,0,0"],
+             "timelike regime requires"),
+            (["pontryagin", "--regime", "timelike", "--psi0", "nan,0,0,0,0,0,0"],
+             "timelike regime requires"),
+            (["abnormal", "--regime", "timelike", "--kappa", "0:0,1e308:1"],
+             "integration diverged"),
+        ],
+        ids=["overflow-psi0", "nan-psi0", "diverged"],
+    )
+    def test_non_finite_exit_code(self, capsys, argv, message):
+        code, out, err = run(capsys, "extremal", *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and message in err
+        assert len(err.splitlines()) == 1
+
 
 class TestHermitianCheck:
     def test_collinear(self, capsys):
@@ -276,8 +311,8 @@ class TestValidate:
         assert "PASS" in err
 
     def test_only_determinism(self, capsys):
-        _, out1, _ = run(capsys, "validate", "--only", "algebra", "--seed", "7")
-        _, out2, _ = run(capsys, "validate", "--only", "algebra", "--seed", "7")
+        _, out1, _ = run(capsys, "validate", "--only", "algebra")
+        _, out2, _ = run(capsys, "validate", "--only", "algebra")
         assert out1 == out2
 
 
@@ -321,3 +356,91 @@ class TestRoundTrips:
         second = PathSample.from_csv(io.StringIO(text))
         for a, b in zip(first.points, second.points):
             assert a.distance(b) == 0.0
+
+
+
+E_MATRIX = json.dumps(Mat2C(math.e * np.eye(2)).to_json())
+
+# Required options of every leaf parser, with small sizes (plot-script reads ./ray.csv).
+LEAF_ARGS = {
+    ("exp",): ["--coeffs", "1,0,0,0"],
+    ("geodesic",): ["--kind", "timelike", "--alpha", "0,0,0", "--samples", "2"],
+    ("classify",): ["--matrix", E_MATRIX],
+    ("distance",): ["--matrix", json.dumps(Mat2C.identity().to_json())],
+    ("longest-arc",): ["--matrix", E_MATRIX, "--samples", "2"],
+    ("extremal", "pontryagin"): ["--psi0", "1,0,0,0,0,0,0", "--regime", "timelike",
+                                 "--T", "0.01"],
+    ("extremal", "abnormal"): ["--regime", "timelike", "--steps", "2"],
+    ("hermitian-check",): ["--alpha", "1,0,0", "--beta", "2,0,0"],
+    ("validate",): ["--only", "algebra"],
+    ("plot-script",): ["--csv", "ray.csv", "--y", "g11_re"],
+}
+
+
+def _leaf_parsers():
+    def subparsers(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    for name, parser in subparsers(build_parser()).choices.items():
+        if name == "extremal":
+            for mode, leaf in subparsers(parser).choices.items():
+                yield (name, mode), leaf
+        else:
+            yield (name,), parser
+
+
+class TestOptions:
+    """Each parser declares exactly the options its handler reads and echoes."""
+
+    @pytest.mark.parametrize(
+        "names, flag, value",
+        [
+            (("exp",), "--seed", "9"),
+            (("exp",), "--tol", "5"),
+            (("exp",), "--step", "3"),
+            (("geodesic",), "--step", "0.1"),
+            (("geodesic",), "--seed", "1"),
+            (("classify",), "--step", "0.1"),
+            (("distance",), "--step", "0.1"),
+            (("longest-arc",), "--step", "0.1"),
+            (("hermitian-check",), "--seed", "1"),
+            (("hermitian-check",), "--step", "0.1"),
+            (("validate",), "--seed", "7"),
+            (("validate",), "--tol", "1e-9"),
+            (("extremal", "abnormal"), "--psi0", "1,0,0,0,0,0,0"),
+            (("extremal", "abnormal"), "--T", "2"),
+            (("extremal", "abnormal"), "--step", "3"),  # not an abbreviation of --steps
+            (("extremal", "abnormal"), "--seed", "1"),
+            (("extremal", "pontryagin"), "--kappa", "0:0,1:1"),
+            (("extremal", "pontryagin"), "--steps", "10"),
+            (("extremal", "pontryagin"), "--tol", "1e-9"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else v if v.startswith("--") else "",
+    )
+    def test_removed_option_rejected(self, capsys, names, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*names, *LEAF_ARGS[names], flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_echoed_config_matches_parser(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ray.csv").write_text("t,g11_re\n0,1\n")
+        leaves = dict(_leaf_parsers())
+        assert set(leaves) == set(LEAF_ARGS)
+        for names, leaf in leaves.items():
+            code, out, _ = run(capsys, *names, *LEAF_ARGS[names])
+            assert code == 0, names
+            header = next((l for l in out.splitlines() if "# config = " in l), None)
+            if header is None:
+                cfg = parse_payload(out)["config"]
+            else:
+                cfg = json.loads(header.split("# config = ", 1)[1])
+            dests = [a.dest.replace("_", "-") for a in leaf._actions if a.dest != "help"]
+            expected = ["subcommand"] + (["mode"] if len(names) == 2 else []) + dests
+            assert list(cfg) == expected, names
+
+    def test_option_count(self):
+        pairs = [(names, a.dest) for names, leaf in _leaf_parsers()
+                 for a in leaf._actions if a.dest != "help"]
+        assert len(pairs) == 47

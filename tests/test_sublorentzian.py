@@ -174,6 +174,21 @@ class TestPontryagin:
         with pytest.raises(ValueError):
             pontryagin_integrate(np.array([2.0, -1, 0, 0, 0, 0, 0]), REGIME_ISOTROPIC, 1.0, 10)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squares overflow to inf
+    @pytest.mark.parametrize(
+        "psi0, regime",
+        [
+            ([1e155, 1e155, 0, 0, 0, 0, 0], REGIME_TIMELIKE),
+            ([math.nan, 0, 0, 0, 0, 0, 0], REGIME_TIMELIKE),
+            ([math.nan, 1, 0, 0, 0, 0, 0], REGIME_ISOTROPIC),
+            ([1, math.nan, 0, 0, 0, 0, 0], REGIME_ISOTROPIC),
+        ],
+        ids=["timelike-overflow", "timelike-nan", "isotropic-nan-psi0", "isotropic-nan-psi1"],
+    )
+    def test_regime_preconditions_non_finite(self, psi0, regime):
+        with pytest.raises(ValueError, match="regime requires"):
+            pontryagin_integrate(np.array(psi0, dtype=float), regime, 1.0, 10)
+
 
 class TestCausalClassify:
     def test_scalar_ray_timelike(self):
