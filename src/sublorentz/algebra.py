@@ -115,9 +115,6 @@ class Mat2C:
             / d
         )
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.m))
-
     def distance(self, other: "Mat2C") -> float:
         """Frobenius distance."""
         return float(np.linalg.norm(self.m - other.m))
@@ -198,14 +195,6 @@ class AlgCoords:
         u = np.zeros(8)
         u[i] = 1.0
         return cls(u)
-
-    def h_vec(self) -> np.ndarray:
-        """Traceless Hermitian components (u1, u2, u3)."""
-        return self.u[1:4].copy()
-
-    def su2_vec(self) -> np.ndarray:
-        """su(2) components (u4, u5, u6)."""
-        return self.u[4:7].copy()
 
     def __add__(self, other: "AlgCoords") -> "AlgCoords":
         return AlgCoords(self.u + other.u)
@@ -423,10 +412,6 @@ def format_float(x: float) -> str:
     if x == -math.inf:
         return "-inf"
     return format(float(x), ".17g")
-
-
-def format_complex(z: complex) -> str:
-    return f"{format_float(z.real)}{'+' if z.imag >= 0 else '-'}{format_float(abs(z.imag))}j"
 
 
 def parse_complex(text: str) -> complex:

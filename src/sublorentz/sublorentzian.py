@@ -159,11 +159,6 @@ class CovectorState:
             raise ValueError("covector must never vanish along an extremal")
         object.__setattr__(self, "psi", p)
 
-    def pairing(self, u_dual) -> float:
-        """psi0 u0 - sum_k psik uk for a control with dual coordinates (u0..u3)."""
-        u = np.asarray(u_dual, dtype=float)
-        return float(self.psi[0] * u[0] - np.dot(self.psi[1:4], u[1:4]))
-
 
 def covector_rhs(psi, u_dual) -> np.ndarray:
     """Adjoint equations for a horizontal control with dual coordinates (u0..u3).
@@ -300,6 +295,7 @@ class PathSample:
         return buf.getvalue()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results are checked
 def pontryagin_integrate(
     psi0,
     regime: str,
@@ -594,6 +590,7 @@ def causal_relation(x: Mat2C, y: Mat2C, tol: float = 1e-7, seed: int = 0) -> str
 # -- abnormal extremals -------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results are checked
 def abnormal_extremal(
     kappa_times,
     kappa_values,

@@ -17,9 +17,10 @@ solution above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+# `minimize` is unused here, but bench/spans.py wraps it by name, so it stays importable.
 from scipy.optimize import least_squares, minimize, root
 
 from .algebra import AlgCoords, Mat2C, _frozen_array, coords, from_coords
@@ -156,15 +157,13 @@ class DistanceBracket:
     """Two-sided estimate of the sub-Riemannian distance from the identity.
 
     `lower <= upper` always; `converged` means the bracket width is within the
-    requested tolerance.  `near_optimal` lists every feasible candidate found
-    within tolerance of the best time (no completeness claim).
+    requested tolerance.
     """
 
     lower: float
     upper: float
     converged: bool
     witness: GeodesicWitness | None
-    near_optimal: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.upper < self.lower - 1e-12:
@@ -219,19 +218,14 @@ def _log_sl2(M: np.ndarray, branch: int) -> np.ndarray | None:
     return l_p * (2.0 * proj - _I2)
 
 
-def _candidate_from_root(g1m: np.ndarray, c: np.ndarray, branch: int):
-    """Turn a fixed-point root c into (T, alpha_vec, beta_vec, residual)."""
-    L = _log_sl2(g1m @ su2_exp(c).m, branch)
-    if L is None:
-        return None
-    v = coords(L)[1:4]
+def _candidate(g1m: np.ndarray, v: np.ndarray, c: np.ndarray):
+    """Turn (v, c) = (T alpha, T beta) into (T, alpha_vec, beta_vec, endpoint residual)."""
     T = float(np.linalg.norm(v))
     if T < 1e-12:
         return None
     av = v / T
     bv = c / T
-    p = SRGeodesicParams(av, bv)
-    res = float(np.max(np.abs(sr_geodesic(p, T).m - g1m)))
+    res = float(np.max(np.abs(sr_geodesic(SRGeodesicParams(av, bv), T).m - g1m)))
     return T, av, bv, res
 
 
@@ -283,7 +277,7 @@ def distance_shoot(
         params = SRGeodesicParams(x / T if T > 0 else np.array([1.0, 0.0, 0.0]), np.zeros(3))
         residual = float(np.max(np.abs(sr_geodesic(params, T).m - g1.m)))
         witness = GeodesicWitness(params, T, residual)
-        return DistanceBracket(lower, max(T, lower), True, witness, (witness,))
+        return DistanceBracket(lower, max(T, lower), True, witness)
 
     t_cap = lower + 10.0
     rng = np.random.default_rng(seed)
@@ -333,7 +327,10 @@ def distance_shoot(
             if key in seen_roots:
                 continue
             seen_roots.add(key)
-            cand = _candidate_from_root(g1m, sol.x, branch)
+            L = _log_sl2(g1m @ su2_exp(sol.x).m, branch)
+            if L is None:
+                continue
+            cand = _candidate(g1m, coords(L)[1:4], sol.x)
             if cand is not None:
                 classify_candidate(cand)
         # A bracket already tight to tolerance cannot improve further.
@@ -364,33 +361,17 @@ def distance_shoot(
     if not feasible:
         return DistanceBracket(lower, math.inf, False, None)
 
-    feasible.sort(key=lambda cand: (cand[0], tuple(cand[1]), tuple(cand[2])))
-    best_T = feasible[0][0]
-    near = tuple(
-        GeodesicWitness(SRGeodesicParams(av, bv), T, res)
-        for (T, av, bv, res) in feasible
-        if T <= best_T + tol
-    )
-    witness = near[0]
-    upper = max(best_T, lower)
-    return DistanceBracket(lower, upper, upper - lower <= tol, witness, near)
-
-
-def _cand_from_packed(g1m: np.ndarray, x: np.ndarray):
-    v = x[:3]
-    T = float(np.linalg.norm(v))
-    if T < 1e-9:
-        return None
-    p = SRGeodesicParams(v / T, x[3:] / T)
-    res = float(np.max(np.abs(sr_geodesic(p, T).m - g1m)))
-    return T, v / T, x[3:] / T, res
+    T, av, bv, res = min(feasible, key=lambda cand: (cand[0], tuple(cand[1]), tuple(cand[2])))
+    witness = GeodesicWitness(SRGeodesicParams(av, bv), T, res)
+    upper = max(T, lower)
+    return DistanceBracket(lower, upper, upper - lower <= tol, witness)
 
 
 def _polish_candidate(g1m: np.ndarray, x0: np.ndarray, tol: float):
     """Refine a packed candidate x = (T*alpha, T*beta) on the endpoint residual.
 
-    Levenberg-Marquardt on the 8 real components of the endpoint gap, with a
-    simplex fallback; returns a feasible candidate or None.
+    Bounded trust-region least squares on the 8 real components of the
+    endpoint gap; returns the candidate if its residual is below tol, else None.
     """
 
     def residual_vec(x):
@@ -409,22 +390,10 @@ def _polish_candidate(g1m: np.ndarray, x0: np.ndarray, tol: float):
         sol = least_squares(residual_vec, x0, method="trf",
                             bounds=(x0 - radius, x0 + radius),
                             xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-        cand = _cand_from_packed(g1m, sol.x)
+        cand = _candidate(g1m, sol.x[:3], sol.x[3:])
     except Exception:
-        cand = None
-    if cand is not None and cand[3] < tol:
-        return cand
-    best = x0 if cand is None else sol.x
-    sol2 = minimize(
-        lambda x: float(np.max(np.abs(residual_vec(x)))),
-        best,
-        method="Nelder-Mead",
-        options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-15},
-    )
-    cand = _cand_from_packed(g1m, sol2.x)
-    if cand is not None and cand[3] < tol:
-        return cand
-    return None
+        return None
+    return cand if cand is not None and cand[3] < tol else None
 
 
 # -- Hermitian endpoints of geodesic factors ---------------------------------

@@ -271,7 +271,6 @@ class TestExtremal:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squares overflow to inf
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -281,8 +280,11 @@ class TestExtremal:
              "timelike regime requires"),
             (["abnormal", "--regime", "timelike", "--kappa", "0:0,1e308:1"],
              "integration diverged"),
+            (["pontryagin", "--psi0", "1.4142135623730951,-1,0,0,0,0,0", "--regime", "timelike",
+              "--T", "1e300", "--step", "1e299"],
+             "integration diverged"),
         ],
-        ids=["overflow-psi0", "nan-psi0", "diverged"],
+        ids=["overflow-psi0", "nan-psi0", "diverged", "pontryagin-diverged"],
     )
     def test_non_finite_exit_code(self, capsys, argv, message):
         code, out, err = run(capsys, "extremal", *argv)

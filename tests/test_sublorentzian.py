@@ -174,7 +174,6 @@ class TestPontryagin:
         with pytest.raises(ValueError):
             pontryagin_integrate(np.array([2.0, -1, 0, 0, 0, 0, 0]), REGIME_ISOTROPIC, 1.0, 10)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squares overflow to inf
     @pytest.mark.parametrize(
         "psi0, regime",
         [

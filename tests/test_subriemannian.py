@@ -25,6 +25,7 @@ from sublorentz import (
     su2_exp,
     to_coords,
 )
+from sublorentz import subriemannian
 
 
 def params(alpha, beta):
@@ -190,13 +191,20 @@ class TestDistanceShoot:
             assert br.lower <= br.upper
             assert br.witness.residual < 1e-7
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        # This target runs the polish stage, which solves by bounded least squares only.
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("the polish stage must not call minimize")
+
+        monkeypatch.setattr(subriemannian, "minimize", no_simplex, raising=False)
         p = params([0.6, 0.8, 0.0], [0.3, -0.4, 1.1])
         target = sr_geodesic(p, 0.8)
         a = distance_shoot(target, seed=5)
         b = distance_shoot(target, seed=5)
         assert a.to_json() == b.to_json()
         assert a.upper == b.upper and a.lower == b.lower
+        assert abs(a.upper - 0.8000000000000003) <= 1e-12
+        assert abs(a.witness.T - 0.8000000000000003) <= 1e-12
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
