@@ -252,24 +252,28 @@ def pauli(i: int) -> Mat2C:
     return Mat2C(_SIGMA[i].copy())
 
 
-def coords(a: np.ndarray) -> np.ndarray:
-    """Real coordinates (u0..u7) of a 2x2 complex array over {e_0..e_6, i*e_0}.
+def entry_coords(a00: complex, a01: complex, a10: complex, a11: complex) -> tuple[float, ...]:
+    """Real coordinates (u0..u7) over {e_0..e_6, i*e_0} of [[a00, a01], [a10, a11]].
 
     On a traceless matrix L, [1:4] are the coordinates of its Hermitian part
     (L + L*)/2 and [4:7] those of its skew-Hermitian part (L - L*)/2.
     """
-    return np.array(
-        [
-            (a[0, 0] + a[1, 1]).real,
-            (a[0, 1] + a[1, 0]).real,
-            (a[0, 1] - a[1, 0]).imag,
-            (a[0, 0] - a[1, 1]).real,
-            (a[0, 1] + a[1, 0]).imag,
-            (a[1, 0] - a[0, 1]).real,
-            (a[0, 0] - a[1, 1]).imag,
-            (a[0, 0] + a[1, 1]).imag,
-        ]
+    return (
+        (a00 + a11).real,
+        (a01 + a10).real,
+        (a01 - a10).imag,
+        (a00 - a11).real,
+        (a01 + a10).imag,
+        (a10 - a01).real,
+        (a00 - a11).imag,
+        (a00 + a11).imag,
     )
+
+
+def coords(a: np.ndarray) -> np.ndarray:
+    """`entry_coords` of a 2x2 complex array, as an array of 8 reals."""
+    (a00, a01), (a10, a11) = a.tolist()
+    return np.array(entry_coords(a00, a01, a10, a11))
 
 
 def to_coords(m: Mat2C) -> AlgCoords:

@@ -16,6 +16,7 @@ solution above.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,13 +24,13 @@ import numpy as np
 # `minimize` is unused here, but bench/spans.py wraps it by name, so it stays importable.
 from scipy.optimize import least_squares, minimize, root
 
-from .algebra import AlgCoords, Mat2C, _frozen_array, coords, from_coords
+from .algebra import AlgCoords, Mat2C, _frozen_array, entry_coords, from_coords
 from .expmap import (
     ProductExpParams,
     exp_series,
     polar_decompose,
     precess,
-    su2_exp,
+    su2_entries,
     aligning_rotation,
 )
 
@@ -194,14 +195,15 @@ class DistanceBracket:
         )
 
 
-def _log_sl2(M: np.ndarray, branch: int) -> np.ndarray | None:
-    """Traceless logarithm of a unimodular matrix on the given eigenvalue branch.
+def _log_sl2(m00: complex, m01: complex, m10: complex, m11: complex, branch: int):
+    """Entries of the traceless logarithm of the unimodular [[m00, m01], [m10, m11]].
 
     Branch k shifts the eigenvalue logs by +-2 pi i k.  Near-degenerate
-    eigenvalues fall back to the principal branch via scipy and reject k != 0.
+    eigenvalues fall back to the principal branch via scipy and reject k != 0
+    (None).
     """
-    tr = M[0, 0] + M[1, 1]
-    disc = np.sqrt(complex(tr * tr / 4.0 - 1.0))
+    tr = m00 + m11
+    disc = cmath.sqrt(tr * tr / 4.0 - 1.0)
     mu_p = tr / 2.0 + disc
     mu_m = tr / 2.0 - disc
     if abs(mu_p) < abs(mu_m):
@@ -211,11 +213,32 @@ def _log_sl2(M: np.ndarray, branch: int) -> np.ndarray | None:
             return None
         from scipy.linalg import logm
 
-        L = logm(np.asarray(M))
-        return L - (np.trace(L) / 2.0) * _I2
-    proj = (M - mu_m * _I2) / (mu_p - mu_m)
-    l_p = np.log(mu_p) + 2j * math.pi * branch
-    return l_p * (2.0 * proj - _I2)
+        (l00, l01), (l10, l11) = logm(np.array([[m00, m01], [m10, m11]], dtype=complex)).tolist()
+        h = (l00 + l11) / 2.0
+        return l00 - h, l01, l10, l11 - h
+    gap = mu_p - mu_m
+    l_p = cmath.log(mu_p) + 2j * math.pi * branch
+    # l_p (2P - I) with P = (M - mu_m I) / gap the projector onto the mu_p eigenline
+    return (l_p * (2.0 * ((m00 - mu_m) / gap) - 1.0), l_p * (2.0 * (m01 / gap)),
+            l_p * (2.0 * (m10 / gap)), l_p * (2.0 * ((m11 - mu_m) / gap) - 1.0))
+
+
+def _log_g_su2(g: tuple, c0: float, c1: float, c2: float, branch: int):
+    """`_log_sl2` entries of g su2_exp(c), with g given by its four entries."""
+    g00, g01, g10, g11 = g
+    s00, s01, s10, s11 = su2_entries(c0, c1, c2, math.sqrt(c0 * c0 + c1 * c1 + c2 * c2))
+    return _log_sl2(g00 * s00 + g01 * s10, g00 * s01 + g01 * s11,
+                    g10 * s00 + g11 * s10, g10 * s01 + g11 * s11, branch)
+
+
+def _fixed_point(c: np.ndarray, g: tuple, branch: int) -> np.ndarray:
+    """Shooting residual skew(log(g exp(c))) - c on a log branch; 1e6 where that log is None."""
+    c0, c1, c2 = c.tolist()
+    L = _log_g_su2(g, c0, c1, c2, branch)
+    if L is None:
+        return np.full(3, 1e6)
+    u = entry_coords(*L)
+    return np.array((u[4] - c0, u[5] - c1, u[6] - c2))
 
 
 def _candidate(g1m: np.ndarray, v: np.ndarray, c: np.ndarray):
@@ -285,6 +308,7 @@ def distance_shoot(
     n_starts = max(4, budget // len(branches))
     starts = _shooting_starts(rng, n_starts - 1, min(13.0, _BETA_CAP * 1.7))
     g1m = g1.m
+    g = tuple(g1m.ravel().tolist())
 
     feasible: list[tuple] = []
     pruned: list[tuple] = []
@@ -314,23 +338,17 @@ def distance_shoot(
                 break
             attempts += 1
 
-            def fixed_point(c, _b=branch):
-                L = _log_sl2(g1m @ su2_exp(c).m, _b)
-                if L is None:
-                    return np.full(3, 1e6)
-                return coords(L)[4:7] - c
-
-            sol = root(fixed_point, c0, method="hybr", tol=1e-13)
+            sol = root(_fixed_point, c0, args=(g, branch), method="hybr", tol=1e-13)
             if not sol.success:
                 continue
             key = (branch,) + tuple(np.round(sol.x, 9))
             if key in seen_roots:
                 continue
             seen_roots.add(key)
-            L = _log_sl2(g1m @ su2_exp(sol.x).m, branch)
+            L = _log_g_su2(g, *sol.x.tolist(), branch)
             if L is None:
                 continue
-            cand = _candidate(g1m, coords(L)[1:4], sol.x)
+            cand = _candidate(g1m, np.array(entry_coords(*L)[1:4]), sol.x)
             if cand is not None:
                 classify_candidate(cand)
         # A bracket already tight to tolerance cannot improve further.
@@ -346,9 +364,9 @@ def distance_shoot(
         polish_starts = [np.concatenate([T * av, T * bv]) for T, av, bv, _ in near_misses[:4]]
         x_boost = pd.boost.u[1:4]
         if float(np.linalg.norm(x_boost)) > 1e-6:
-            log_k = _log_sl2(pd.rotation.m, 0)
+            log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
             if log_k is not None:
-                c_seed = -coords(log_k)[4:7]
+                c_seed = -np.array(entry_coords(*log_k)[4:7])
                 polish_starts.append(np.concatenate([x_boost, c_seed]))
         for x0 in polish_starts:
             polished = _polish_candidate(g1m, x0, tol)

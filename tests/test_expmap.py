@@ -219,6 +219,57 @@ class TestRotationHelpers:
         assert m.is_unitary(1e-14)
         assert m.is_special(1e-14)
 
+    # float.hex of (re, im) for the entries m00, m01, m10, m11: the bits the
+    # shooting stage, aligning_rotation and the extremal paths rely on.
+    # A list, not a dict: (0.0, 0.0, 0.0) and (0.0, -0.0, -0.0) are equal keys.
+    SU2_BITS = [
+        ((1e-9, -2e-9, 3e-9), (  # |c| < SMALL_W
+            "0x1.0000000000000p+0", "0x1.9c511dc3a41dfp-30", "0x1.12e0be826d695p-30",
+            "0x1.12e0be826d695p-31", "-0x1.12e0be826d695p-30", "0x1.12e0be826d695p-31",
+            "0x1.0000000000000p+0", "-0x1.9c511dc3a41dfp-30")),
+        ((2 * math.pi, 0.0, 0.0), (
+            "-0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x1.1a62633145c07p-53",
+            "0x0.0p+0", "0x1.1a62633145c07p-53", "-0x1.0000000000000p+0", "0x0.0p+0")),
+        ((0.3, -1.2, 2.2), (
+            "0x1.3742fc9dbad58p-2", "0x1.a92dad3747cf6p-1", "0x1.cfd4bcf67ce23p-2",
+            "0x1.cfd4bcf67ce23p-4", "-0x1.cfd4bcf67ce23p-2", "0x1.cfd4bcf67ce23p-4",
+            "0x1.3742fc9dbad58p-2", "-0x1.a92dad3747cf6p-1")),
+        ((-0.0, -0.0, -5.0), (
+            "-0x1.9a2f7ef858b7dp-1", "-0x1.326af0dcfcab1p-1", "-0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "-0x1.9a2f7ef858b7dp-1", "0x1.326af0dcfcab1p-1")),
+        ((4.0, -3.0, 7.5), (  # |c| > 2 pi: sin(|c|/2) < 0
+            "-0x1.a1cebd42d204ap-3", "-0x1.a10ceb8782127p-1", "-0x1.4da3ef9f9b420p-2",
+            "-0x1.bcda94d4cf02ap-2", "0x1.4da3ef9f9b420p-2", "-0x1.bcda94d4cf02ap-2",
+            "-0x1.a1cebd42d204ap-3", "0x1.a10ceb8782127p-1")),
+        ((0.0, 0.0, 0.0), (
+            "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0")),
+        # signed zeros: each case fixes the sign of a zero entry part
+        ((-0.0, -0.0, 5.0), (
+            "-0x1.9a2f7ef858b7dp-1", "0x1.326af0dcfcab1p-1", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "-0x1.9a2f7ef858b7dp-1", "-0x1.326af0dcfcab1p-1")),
+        ((-0.0, 0.0, 7.1), (
+            "-0x1.d5e3eb29c37a4p-1", "-0x1.96ae0258a35d0p-2", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "-0x1.d5e3eb29c37a4p-1", "0x1.96ae0258a35d0p-2")),
+        ((0.0, -0.0, -0.0), (
+            "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0")),
+    ]
+
+    @staticmethod
+    def hex_entries(m: Mat2C) -> tuple:
+        return tuple(x.hex() for z in m.m.ravel().tolist() for x in (z.real, z.imag))
+
+    @pytest.mark.parametrize("c, bits", SU2_BITS)
+    def test_su2_exp_bits_pinned(self, c, bits):
+        assert self.hex_entries(su2_exp(list(c))) == bits
+
+    def test_aligning_rotation_bits_pinned(self):
+        s, _ = aligning_rotation([0.0, 1.0, 0.0])  # axis (0, 0, -1): zero components
+        assert self.hex_entries(s) == (
+            "0x1.6a09e667f3bcdp-1", "-0x1.6a09e667f3bccp-1", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bccp-1")
+
     def test_aligning_rotation(self):
         rng = np.random.default_rng(52)
         for _ in range(30):

@@ -1,5 +1,6 @@
 """Geodesics, distance brackets, and the Hermitian-endpoint classifier on SL(2,C)."""
 
+import cmath
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from sublorentz import (
     to_coords,
 )
 from sublorentz import subriemannian
+from sublorentz.algebra import coords
 
 
 def params(alpha, beta):
@@ -206,6 +208,21 @@ class TestDistanceShoot:
         assert abs(a.upper - 0.8000000000000003) <= 1e-12
         assert abs(a.witness.T - 0.8000000000000003) <= 1e-12
 
+    def test_shooting_builds_few_matrices(self, monkeypatch):
+        # The fixed-point residual works on complex scalars; a Mat2C per
+        # evaluation would build over 17,000 here.
+        built = []
+        init = Mat2C.__init__
+
+        def counting_init(obj, *args, **kwargs):
+            built.append(1)
+            init(obj, *args, **kwargs)
+
+        target = sr_geodesic(params([0.6, 0.8, 0.0], [0.3, -0.4, 1.1]), 0.8)
+        monkeypatch.setattr(Mat2C, "__init__", counting_init)
+        distance_shoot(target, seed=5)
+        assert len(built) < 1000
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             distance_shoot(Mat2C(2.0 * np.eye(2)))
@@ -294,6 +311,94 @@ class TestHermitianEndpoint:
         monkeypatch.setattr(sr, "_osn_margins", skewed)
         with pytest.raises(RuntimeError, match="inconsistent frame"):
             hermitian_endpoint_check([1.0, 0.2, 0.0], [0.0, 1.3, 0.4])
+
+
+def _entries(m: np.ndarray) -> tuple:
+    return tuple(m.ravel().tolist())
+
+
+def _log_targets():
+    rng = np.random.default_rng(61)
+    out = []
+    for _ in range(3):
+        a = rng.normal(size=3)
+        out.append(("geodesic", sr_geodesic(params(a / np.linalg.norm(a), rng.normal(size=3)),
+                                            rng.uniform(0.5, 2.0))))
+        out.append(("boost-rotation", Mat2C(boost(rng.normal(size=3), rng.uniform(0.3, 2.0)).m
+                                            @ su2_exp(rng.normal(size=3)).m)))
+        out.append(("rotation", su2_exp(rng.uniform(0.5, 3.0) * rng.normal(size=3))))
+    return out
+
+
+class TestShootingLog:
+    """The branch logarithm and the fixed-point residual, against the series oracle."""
+
+    BRANCHES = (0, 1, -1, 2, -2, 3, -3)
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_log_against_series_oracle(self, branch):
+        rng = np.random.default_rng(62 + branch)
+        for kind, g1 in _log_targets():
+            g = _entries(g1.m)
+            for _ in range(4):
+                c = rng.normal(size=3) * rng.uniform(0.1, 3.0)
+                M = g1.m @ su2_exp(c).m
+                L = np.array(subriemannian._log_g_su2(g, *c.tolist(), branch)).reshape(2, 2)
+                assert abs(L[0, 0] + L[1, 1]) < 1e-12, kind
+                err = np.max(np.abs(exp_series(Mat2C(L)).m - M)) / np.max(np.abs(M))
+                assert err < 1e-10, (kind, c, err)
+                res = subriemannian._fixed_point(c, g, branch)
+                assert np.max(np.abs(res - (coords(L)[4:7] - c))) < 1e-12, kind
+
+    @pytest.mark.parametrize("branch", [b for b in BRANCHES if b != 0])
+    def test_branches_shift_eigenvalue_logs(self, branch):
+        rng = np.random.default_rng(72 + branch)
+        for kind, g1 in _log_targets():
+            g = _entries(g1.m)
+            c = rng.normal(size=3)
+            M = g1.m @ su2_exp(c).m
+            L0 = np.array(subriemannian._log_g_su2(g, *c.tolist(), 0)).reshape(2, 2)
+            Lk = np.array(subriemannian._log_g_su2(g, *c.tolist(), branch)).reshape(2, 2)
+            mus, vecs = np.linalg.eig(M)
+            shifts = []
+            for mu, v in zip(mus, vecs.T):
+                j = int(np.argmax(np.abs(v)))
+                lam0 = (L0 @ v)[j] / v[j]
+                lamk = (Lk @ v)[j] / v[j]
+                assert abs(cmath.exp(lamk) - mu) < 1e-10 * abs(mu), kind
+                assert abs(lam0.imag) <= math.pi + 1e-9, kind
+                shifts.append((lamk - lam0) / (2j * math.pi * branch))
+            # one eigenvalue log moves by +2 pi i k, the other by -2 pi i k; the
+            # + side is the eigenvalue of larger modulus where the moduli differ
+            assert sorted(s.real for s in shifts) == pytest.approx([-1.0, 1.0], abs=1e-9), kind
+            assert max(abs(s.imag) for s in shifts) < 1e-9, kind
+            if abs(abs(mus[0]) - abs(mus[1])) > 1e-6:
+                assert shifts[int(np.argmax(np.abs(mus)))].real == pytest.approx(1.0), kind
+
+    @pytest.mark.parametrize("b", [0.0, 1e-9, 0.3])
+    def test_degenerate_eigenvalues_fall_back_to_logm(self, b, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        logm = scipy.linalg.logm
+
+        def counting_logm(m, *args, **kwargs):
+            calls.append(1)
+            return logm(m, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "logm", counting_logm)
+        g1 = np.array([[1.0, b], [0.0, 1.0]], dtype=complex)  # +I plus a nilpotent part
+        g = _entries(g1)
+        c = np.zeros(3)
+        L = np.array(subriemannian._log_g_su2(g, 0.0, 0.0, 0.0, 0)).reshape(2, 2)
+        assert calls, "branch 0 must take the logm fallback"
+        assert np.max(np.abs(L - (g1 - np.eye(2)))) < 1e-15  # log(I + N) = N
+        assert np.max(np.abs(exp_series(Mat2C(L)).m - g1)) < 1e-15
+        res = subriemannian._fixed_point(c, g, 0)
+        assert np.max(np.abs(res - (coords(L)[4:7] - c))) < 1e-15
+        for branch in (1, -1, 2, -2, 3, -3):
+            assert subriemannian._log_g_su2(g, 0.0, 0.0, 0.0, branch) is None
+            assert np.array_equal(subriemannian._fixed_point(c, g, branch), np.full(3, 1e6))
 
 
 class TestUnconvergedBracket:
