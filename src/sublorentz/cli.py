@@ -158,7 +158,7 @@ def cmd_geodesic(args, cfg: dict) -> int:
         raise ValueError("--normalize does not apply to --kind timelike (a0 is derived)")
     av = _parse_floats(args.alpha, 3)
     bv = _parse_floats(args.beta, 3)
-    ts = np.linspace(0.0, args.t_max, args.samples) if args.samples > 0 else np.array([])
+    ts = np.linspace(0.0, args.t_max, args.samples)
 
     if args.kind == "subriemannian":
         p = SRGeodesicParams.normalized(av, bv) if args.normalize else SRGeodesicParams(av, bv)
@@ -174,10 +174,8 @@ def cmd_geodesic(args, cfg: dict) -> int:
             params = ExtremalParams.timelike(av, bv)
         else:
             params = ExtremalParams.isotropic(av, bv, normalize=args.normalize)
-        path = extremal_path(params, ts) if len(ts) else None
-        points = path.points if path else ()
-        controls = path.controls if path else ()
-        covectors = path.covectors if path else None
+        path = extremal_path(params, ts)
+        points, controls, covectors = path.points, path.controls, path.covectors
         target_sq = 1.0 if regime == REGIME_TIMELIKE else 0.0
 
     det_re, det_im, arc_res = [], [], []
@@ -190,16 +188,9 @@ def cmd_geodesic(args, cfg: dict) -> int:
         else:
             q = float(u.u[0] ** 2 - np.dot(u.u[1:7], u.u[1:7]))
         arc_res.append(abs(q - target_sq))
-    if len(ts):
-        sample = PathSample(ts, points, controls, covectors)
-        text = _path_csv(
-            sample, cfg, extra={"det_re": det_re, "det_im": det_im, "arc_residual": arc_res}
-        )
-    else:  # empty range: header-only file
-        text = "# config = " + json.dumps(cfg, default=str) + "\n" + ",".join(
-            PathSample.CSV_COLUMNS + ["det_re", "det_im", "arc_residual"]
-        ) + "\n"
-    _emit(text, args.out)
+    sample = PathSample(ts, points, controls, covectors)
+    extra = {"det_re": det_re, "det_im": det_im, "arc_residual": arc_res}
+    _emit(_path_csv(sample, cfg, extra=extra), args.out)
     return EXIT_OK
 
 
@@ -284,6 +275,12 @@ def cmd_validate(args, cfg: dict) -> int:
 
 def cmd_plot_script(args, cfg: dict) -> int:
     columns = args.y.split(",")
+    # Every value below lands inside a single-quoted gnuplot string.
+    for name, value in [("--csv", args.csv), ("--x", args.x), ("--title", args.title)] + [
+        ("--y", c) for c in columns
+    ]:
+        if any(ch == "'" or ch < " " for ch in value):
+            raise ValueError(f"{name} must not contain a quote or control character: {value!r}")
     header = None
     with open(args.csv) as fh:
         for line in fh:

@@ -528,6 +528,8 @@ def longest_arc(
     over [0, xi].  Unreachable or indeterminate targets raise
     UnreachableTargetError with the report attached.
     """
+    if samples < 2:
+        raise ValueError(f"longest_arc needs samples >= 2, got {samples}")
     report = causal_classify(g, tol=tol, seed=seed, budget=budget)
     if report.causal_class in (CLASS_UNREACHABLE, CLASS_INDETERMINATE):
         raise UnreachableTargetError(report)
@@ -553,7 +555,7 @@ def longest_arc(
         geo_params = SRGeodesicParams(np.array([1.0, 0.0, 0.0]), np.zeros(3))
     av, bv = geo_params.alpha_vec, geo_params.beta_vec
 
-    times = np.linspace(0.0, total, max(samples, 2))
+    times = np.linspace(0.0, total, samples)
     points, controls = [], []
     for t in times:
         s = sh_c * t

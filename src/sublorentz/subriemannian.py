@@ -35,7 +35,6 @@ from .expmap import (
 )
 
 _I2 = np.eye(2, dtype=complex)
-_BETA_CAP = 8.0  # shooting candidates with |beta| above it are pruned as non-minimal
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,11 +277,10 @@ def distance_shoot(
 
     over seeded multistarts and logarithm branches, each root giving a
     geodesic hitting g1 exactly at time T = |hermitian_part(log(g1 exp(c)))|.
-    Feasible candidates (endpoint residual < tol) are minimized over T; the
-    lower end is the hyperbolic projection bound.  Candidates in the
-    orthogonal regime (beta > 1, alpha.beta = 0) running past the cut time,
-    or beyond the caps |beta| > 8 or T > lower + 10, are provably non-minimal
-    and only used if nothing else is found.  Deterministic for a fixed seed.
+    Any geodesic reaching g1 at time T proves distance <= T, so the witness
+    is the shortest candidate whose endpoint residual is below tol, whatever
+    its length or |beta|; the lower end is the hyperbolic projection bound.
+    Deterministic for a fixed seed.
     """
     _require_unimodular(g1)
     if tol <= 0:
@@ -302,35 +300,17 @@ def distance_shoot(
         witness = GeodesicWitness(params, T, residual)
         return DistanceBracket(lower, max(T, lower), True, witness)
 
-    t_cap = lower + 10.0
     rng = np.random.default_rng(seed)
     branches = (0, 1, -1, 2, -2, 3, -3)
     n_starts = max(4, budget // len(branches))
-    starts = _shooting_starts(rng, n_starts - 1, min(13.0, _BETA_CAP * 1.7))
+    starts = _shooting_starts(rng, n_starts - 1, 13.0)
     g1m = g1.m
     g = tuple(g1m.ravel().tolist())
 
     feasible: list[tuple] = []
-    pruned: list[tuple] = []
     near_misses: list[tuple] = []
     attempts = 0
     seen_roots: set = set()
-
-    def classify_candidate(cand):
-        T, av, bv, res = cand
-        if res >= tol:
-            near_misses.append(cand)
-            return
-        beta = float(np.linalg.norm(bv))
-        orthogonal_cut = (
-            beta > 1.0 + 1e-12
-            and abs(float(np.dot(av, bv))) <= 1e-9 * max(beta, 1.0)
-            and T > cut_bound(beta) + 1e-9
-        )
-        if orthogonal_cut or beta > _BETA_CAP or T > t_cap:
-            pruned.append(cand)
-        else:
-            feasible.append(cand)
 
     for branch in branches:
         for c0 in starts:
@@ -350,7 +330,7 @@ def distance_shoot(
                 continue
             cand = _candidate(g1m, np.array(entry_coords(*L)[1:4]), sol.x)
             if cand is not None:
-                classify_candidate(cand)
+                (feasible if cand[3] < tol else near_misses).append(cand)
         # A bracket already tight to tolerance cannot improve further.
         if feasible and min(f[0] for f in feasible) <= lower + tol:
             break
@@ -371,10 +351,7 @@ def distance_shoot(
         for x0 in polish_starts:
             polished = _polish_candidate(g1m, x0, tol)
             if polished is not None:
-                classify_candidate(polished)
-
-    if not feasible and pruned:
-        feasible = pruned  # provably non-minimal, but still a valid upper bound
+                feasible.append(polished)  # below tol: _polish_candidate checks
 
     if not feasible:
         return DistanceBracket(lower, math.inf, False, None)

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import argparse
 
@@ -263,8 +265,11 @@ class TestExtremal:
             ["extremal", "pontryagin", "--regime", "timelike", "--psi0", "1,0,0,0,0,0,0",
              "--step", "0"],
             ["extremal", "abnormal", "--regime", "timelike", "--steps", "0"],
+            ["geodesic", "--kind", "subriemannian", "--alpha", "1,0,0", "--samples", "-1"],
+            ["longest-arc", "--matrix", json.dumps(Mat2C(math.e * np.eye(2)).to_json()),
+             "--samples", "1"],
         ],
-        ids=["no-psi0", "zero-step", "zero-steps"],
+        ids=["no-psi0", "zero-step", "zero-steps", "negative-samples", "one-sample-arc"],
     )
     def test_missing_or_zero_size_exit_code(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -332,6 +337,29 @@ class TestPlotScript:
         assert code == 0
         assert str(csv_file) in out
         assert "plot" in out
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--title", "x'\nsystem('echo INJECTED')\nset title 'y"),
+            ("--csv", "it's.csv"),
+            ("--y", "it's"),
+            ("--x", "a\tb"),
+        ],
+        ids=["title-injection", "csv-quote", "y-quote", "x-control"],
+    )
+    def test_rejects_quote_or_control_character(
+        self, capsys, tmp_path, monkeypatch, option, value
+    ):
+        # Each value would land inside a single-quoted gnuplot string; every
+        # one of them names a real file or column, so only the check rejects it.
+        monkeypatch.chdir(tmp_path)
+        for name in ("ray.csv", "it's.csv"):
+            (tmp_path / name).write_text("t,g11_re,it's,a\tb\n0,1,2,3\n")
+        argv = {"--csv": "ray.csv", "--y": "g11_re", option: value}
+        code, out, err = run(capsys, "plot-script", *[x for kv in argv.items() for x in kv])
+        assert code == 2
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestRoundTrips:
@@ -446,3 +474,23 @@ class TestOptions:
         pairs = [(names, a.dest) for names, leaf in _leaf_parsers()
                  for a in leaf._actions if a.dest != "help"]
         assert len(pairs) == 47
+
+
+class TestReadme:
+    def test_cli_block_runs(self, capsys, tmp_path, monkeypatch):
+        # Every command of the README's CLI example block, in order, exits 0.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [
+            shlex.split(line)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("sublorentz ")
+        ]
+        assert len(commands) == 11
+        monkeypatch.chdir(tmp_path)
+        boost = np.array([[math.cosh(0.4), math.sinh(0.4)], [math.sinh(0.4), math.cosh(0.4)]])
+        (tmp_path / "g1.json").write_text(json.dumps(Mat2C(boost).to_json()))
+        (tmp_path / "g.json").write_text(json.dumps(Mat2C(math.e * boost).to_json()))
+        for argv in commands:
+            code, _, err = run(capsys, *argv[1:])
+            assert code == 0, (argv, err)

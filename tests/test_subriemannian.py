@@ -180,18 +180,55 @@ class TestDistanceShoot:
         assert br.converged
         assert np.max(np.abs(br.witness.params.beta_vec)) < 1e-12
 
-    def test_reaches_constructed_targets(self):
-        rng = np.random.default_rng(91)
-        for trial in range(4):
+    @staticmethod
+    def _large_beta_targets(n):
+        """Short geodesics with |beta| in [8.5, 11]: the witness has a large |beta|."""
+        rng = np.random.default_rng(92)
+        for _ in range(n):
             a = rng.normal(size=3)
             a /= np.linalg.norm(a)
-            p = params(a, rng.uniform(-1.5, 1.5, 3))
-            target = sr_geodesic(p, 0.5)
+            b = rng.normal(size=3)
+            b *= rng.uniform(8.5, 11.0) / np.linalg.norm(b)
+            yield params(a, b), rng.uniform(0.15, 0.5)
+
+    def test_reaches_constructed_targets(self):
+        rng = np.random.default_rng(91)
+        cases = []
+        for _ in range(4):
+            a = rng.normal(size=3)
+            a /= np.linalg.norm(a)
+            cases.append((params(a, rng.uniform(-1.5, 1.5, 3)), 0.5))
+        cases += list(self._large_beta_targets(4))
+        for trial, (p, T) in enumerate(cases):
+            target = sr_geodesic(p, T)
             br = distance_shoot(target, tol=1e-7, seed=trial)
             assert br.witness is not None
-            assert br.upper <= 0.5 + 1e-7
+            assert br.upper <= T + 1e-7
             assert br.lower <= br.upper
             assert br.witness.residual < 1e-7
+
+    @pytest.mark.parametrize("kind", ["boost-rotation", "large-beta"])
+    def test_witness_is_shortest_certified_candidate(self, monkeypatch, kind):
+        if kind == "boost-rotation":
+            target = Mat2C(boost([0.7, -0.2, 0.4], 0.9).m @ su2_exp([0.3, 1.1, -0.6]).m)
+        else:
+            p, T = next(self._large_beta_targets(1))
+            target = sr_geodesic(p, T)
+        seen = []
+        candidate = subriemannian._candidate
+
+        def recording_candidate(*args):
+            cand = candidate(*args)
+            if cand is not None:
+                seen.append(cand)
+            return cand
+
+        monkeypatch.setattr(subriemannian, "_candidate", recording_candidate)
+        tol = 1e-7
+        br = distance_shoot(target, tol=tol)
+        certified = [cand[0] for cand in seen if cand[3] < tol]
+        assert certified and br.witness is not None
+        assert br.witness.T == min(certified)
 
     def test_deterministic(self, monkeypatch):
         # This target runs the polish stage, which solves by bounded least squares only.
