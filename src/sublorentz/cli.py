@@ -26,8 +26,6 @@ from .subriemannian import (
     SRGeodesicParams,
     distance_shoot,
     hermitian_endpoint_check,
-    sr_geodesic,
-    sr_geodesic_control,
 )
 from .sublorentzian import (
     CLASS_INDETERMINATE,
@@ -162,8 +160,9 @@ def cmd_geodesic(args, cfg: dict) -> int:
 
     if args.kind == "subriemannian":
         p = SRGeodesicParams.normalized(av, bv) if args.normalize else SRGeodesicParams(av, bv)
-        points = tuple(sr_geodesic(p, float(t)) for t in ts)
-        controls = tuple(sr_geodesic_control(p, float(t)) for t in ts)
+        pp = p.product_params()
+        points = tuple(pp.point(float(t)) for t in ts)
+        controls = tuple(pp.control(float(t)) for t in ts)
         covectors = None
         target_sq = 1.0
     else:

@@ -298,18 +298,6 @@ class ProductExpParams:
         a = self.alpha
         return 0.5 * math.sqrt(a[4] ** 2 + a[5] ** 2 + a[6] ** 2)
 
-    def m1(self, t: float) -> complex:
-        return cmath.cosh(self.w1 * t)
-
-    def n1(self, t: float) -> complex:
-        return sinch(self.w1, t)
-
-    def m2(self, t: float) -> float:
-        return math.cos(self.w2 * t)
-
-    def n2(self, t: float) -> float:
-        return sinc_scaled(self.w2, t)
-
     def coefficients(self, t: float) -> np.ndarray:
         """Complex coefficients (c0..c6, c7) of g(t) over {e_0..e_6, i e_0}."""
         a = self.alpha
@@ -329,6 +317,11 @@ class ProductExpParams:
         c[6] = swing * a[6]
         c[7] = -0.5 * ee * mix * (a[1] * a[4] + a[2] * a[5] + a[3] * a[6])
         return c
+
+    def control(self, t: float) -> AlgCoords:
+        """The control g^-1 g'(t) = Ad(exp(t b)) a = (a0, precess(a_vec, b_vec, t), 0)."""
+        a = self.alpha
+        return AlgCoords(np.concatenate([[a[0]], precess(a[1:4], a[4:7], t), np.zeros(4)]))
 
     def point(self, t: float) -> Mat2C:
         c = self.coefficients(t)

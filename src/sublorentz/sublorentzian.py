@@ -32,16 +32,13 @@ from .expmap import (
     ProductExpParams,
     aligning_rotation,
     det_split,
-    precess,
     sinc_scaled,
     sinch,
 )
 from .subriemannian import (
     DistanceBracket,
-    GeodesicWitness,
     SRGeodesicParams,
     distance_shoot,
-    sr_geodesic,
 )
 
 REGIME_TIMELIKE = "timelike-normal"
@@ -359,21 +356,18 @@ def pontryagin_integrate(
 def extremal_path(p: ExtremalParams, ts) -> PathSample:
     """Closed-form sampling of a normal extremal with its controls and covectors.
 
-    The control precesses about the su(2) constants: u(t) has algebra
-    coordinates (a0, R(t) a_vec, 0) with R the rotation about beta_vec by
-    angle t |beta_vec|; the covector H0 block is its negative and the su(2)
-    block stays at -beta_vec.
+    The control is `ProductExpParams.control`; the covector is
+    (u0, -u_123, -beta_vec).
     """
-    a = p.alpha
-    av, bv = a[1:4], a[4:7]
+    bv = p.alpha[4:7]
     pp = p.product_params()
     times = np.asarray(ts, dtype=float)
     points, controls, covectors = [], [], []
     for t in times:
         points.append(pp.point(float(t)))
-        rotated = precess(av, bv, t)
-        controls.append(AlgCoords(np.concatenate([[a[0]], rotated, np.zeros(4)])))
-        covectors.append(CovectorState(np.concatenate([[a[0]], -rotated, -bv])))
+        u = pp.control(float(t))
+        controls.append(u)
+        covectors.append(CovectorState(np.concatenate([u.u[:1], -u.u[1:4], -bv])))
     return PathSample(times, tuple(points), tuple(controls), tuple(covectors))
 
 
@@ -419,6 +413,10 @@ _EXACT_WIDTH = 1e-10
 _EXACT_TIE_TOL = 1e-9
 
 
+def _exact(bracket: DistanceBracket) -> bool:
+    return bracket.width <= _EXACT_WIDTH and math.isfinite(bracket.upper)
+
+
 @dataclass(frozen=True)
 class CausalReport:
     """Classification of a group element relative to the identity.
@@ -426,9 +424,10 @@ class CausalReport:
     distance is None for unreachable and indeterminate targets (the
     unreachable value "-inf" is an out-of-band marker applied only at
     serialization, never in arithmetic).  c_param is the boost rapidity with
-    xi = d cosh(c), eta = d sinh(c) for timelike targets.  `extrapolated`
-    flags unitary g1 != I, where the projection lower bound degenerates and
-    the classification leans on the shooting bracket alone.
+    xi = d cosh(c), eta = d sinh(c) for timelike targets.  The flags are
+    read off the bracket: `eta_exact` when it is finite and at most
+    _EXACT_WIDTH wide; `extrapolated` when it is inexact with a vanishing
+    lower end (unitary g1 != I), so the class leans on shooting alone.
     """
 
     xi: float
@@ -436,8 +435,14 @@ class CausalReport:
     causal_class: str
     distance: float | None
     c_param: float | None
-    extrapolated: bool = False
-    eta_exact: bool = False
+
+    @property
+    def eta_exact(self) -> bool:
+        return _exact(self.eta)
+
+    @property
+    def extrapolated(self) -> bool:
+        return not self.eta_exact and self.eta.lower <= _EXACT_WIDTH
 
     def to_json(self) -> dict:
         if self.causal_class == CLASS_UNREACHABLE:
@@ -466,8 +471,6 @@ class CausalReport:
             d["class"],
             distance,
             None if d["c"] is None else float(d["c"]),
-            bool(d.get("extrapolated", False)),
-            bool(d.get("eta_exact", False)),
         )
 
 
@@ -483,39 +486,28 @@ def causal_classify(
     """
     xi, g1 = det_split(g)
     bracket = distance_shoot(Mat2C(g1), tol=tol, seed=seed, budget=budget)
-    extrapolated = False
     if bracket.witness is None and bracket.upper == 0.0:
         # scalar ray: eta = 0 exactly
         if abs(xi) <= 1e-12:
-            return CausalReport(xi, bracket, CLASS_IDENTITY, 0.0, None, False, True)
+            return CausalReport(xi, bracket, CLASS_IDENTITY, 0.0, None)
         if xi > 0:
-            return CausalReport(xi, bracket, CLASS_TIMELIKE, xi, 0.0, False, True)
-        return CausalReport(xi, bracket, CLASS_UNREACHABLE, None, None, False, True)
+            return CausalReport(xi, bracket, CLASS_TIMELIKE, xi, 0.0)
+        return CausalReport(xi, bracket, CLASS_UNREACHABLE, None, None)
 
-    if bracket.width <= _EXACT_WIDTH and math.isfinite(bracket.upper):
-        eta = 0.5 * (bracket.lower + bracket.upper)
-        tie = _EXACT_TIE_TOL * max(1.0, abs(xi), eta)
-        if abs(xi - eta) <= tie:
-            return CausalReport(xi, bracket, CLASS_ISOTROPIC, 0.0, None, False, True)
-        if xi > eta:
-            d = math.sqrt(xi * xi - eta * eta)
-            return CausalReport(
-                xi, bracket, CLASS_TIMELIKE, d, math.atanh(eta / xi), False, True
-            )
-        return CausalReport(xi, bracket, CLASS_UNREACHABLE, None, None, False, True)
-
-    # Inexact bracket: only strict separations are decided.
-    if bracket.lower <= _EXACT_WIDTH:
-        extrapolated = True  # unitary g1 != I: projection bound degenerates
-    if xi < bracket.lower - tol:
-        return CausalReport(xi, bracket, CLASS_UNREACHABLE, None, None, extrapolated, False)
-    if math.isfinite(bracket.upper) and xi > bracket.upper + tol:
-        eta = 0.5 * (bracket.lower + bracket.upper)
-        d = math.sqrt(xi * xi - eta * eta)
-        return CausalReport(
-            xi, bracket, CLASS_TIMELIKE, d, math.atanh(eta / xi), extrapolated, False
-        )
-    return CausalReport(xi, bracket, CLASS_INDETERMINATE, None, None, extrapolated, False)
+    eta = 0.5 * (bracket.lower + bracket.upper)
+    if _exact(bracket):
+        if abs(xi - eta) <= _EXACT_TIE_TOL * max(1.0, abs(xi), eta):
+            return CausalReport(xi, bracket, CLASS_ISOTROPIC, 0.0, None)
+        if xi < eta:
+            return CausalReport(xi, bracket, CLASS_UNREACHABLE, None, None)
+    else:
+        # Inexact bracket: only strict separations are decided.
+        if xi < bracket.lower - tol:
+            return CausalReport(xi, bracket, CLASS_UNREACHABLE, None, None)
+        if not (math.isfinite(bracket.upper) and xi > bracket.upper + tol):
+            return CausalReport(xi, bracket, CLASS_INDETERMINATE, None, None)
+    d = math.sqrt(xi * xi - eta * eta)
+    return CausalReport(xi, bracket, CLASS_TIMELIKE, d, math.atanh(eta / xi))
 
 
 def longest_arc(
@@ -525,8 +517,11 @@ def longest_arc(
 
     Timelike: g(t) = e^{cosh(c) t / 2} gamma(sinh(c) t) over t in [0, d] with
     gamma the witness geodesic of the eta bracket; isotropic: e^{t/2} gamma(t)
-    over [0, xi].  Unreachable or indeterminate targets raise
-    UnreachableTargetError with the report attached.
+    over [0, xi].  The identity's longest arc is the single point e: one
+    sample whatever `samples` is, since path times strictly increase.  The
+    endpoint gap is checked in the unimodular frame (times e^{-xi/2}).
+    Unreachable or indeterminate targets raise UnreachableTargetError with
+    the report attached.
     """
     if samples < 2:
         raise ValueError(f"longest_arc needs samples >= 2, got {samples}")
@@ -553,21 +548,18 @@ def longest_arc(
         geo_params = witness.params
     else:
         geo_params = SRGeodesicParams(np.array([1.0, 0.0, 0.0]), np.zeros(3))
-    av, bv = geo_params.alpha_vec, geo_params.beta_vec
+    gp = geo_params.product_params()
 
     times = np.linspace(0.0, total, samples)
     points, controls = [], []
     for t in times:
         s = sh_c * t
-        pt = Mat2C(math.exp(ch_c * t / 2.0) * sr_geodesic(geo_params, s).m)
-        points.append(pt)
-        rotated = precess(av, bv, s)
-        controls.append(
-            AlgCoords(np.concatenate([[ch_c], sh_c * rotated, np.zeros(4)]))
-        )
-    endpoint_gap = points[-1].distance(g)
-    if endpoint_gap > 10.0 * tol:
-        raise RuntimeError(f"longest-arc endpoint residual {endpoint_gap:.3e} exceeds 10*tol")
+        points.append(Mat2C(math.exp(ch_c * t / 2.0) * gp.point(s).m))
+        u = gp.control(s).u
+        controls.append(AlgCoords(np.concatenate([[ch_c], sh_c * u[1:4], np.zeros(4)])))
+    residual = points[-1].distance(g) * math.exp(-xi / 2.0)
+    if residual > 10.0 * tol:
+        raise RuntimeError(f"longest-arc endpoint residual {residual:.3e} exceeds 10*tol")
     return PathSample(times, tuple(points), tuple(controls), None)
 
 

@@ -29,7 +29,6 @@ from .expmap import (
     ProductExpParams,
     exp_series,
     polar_decompose,
-    precess,
     su2_entries,
     aligning_rotation,
 )
@@ -64,10 +63,6 @@ class SRGeodesicParams:
             raise ValueError("alpha_vec must be nonzero")
         return cls(a / n, np.asarray(beta_vec, dtype=float))
 
-    @property
-    def beta(self) -> float:
-        return float(np.linalg.norm(self.beta_vec))
-
     def product_params(self) -> ProductExpParams:
         return ProductExpParams(np.concatenate([[0.0], self.alpha_vec, self.beta_vec]))
 
@@ -90,9 +85,7 @@ def sr_geodesic_two_factor(p: SRGeodesicParams, t: float) -> Mat2C:
 
 def sr_geodesic_control(p: SRGeodesicParams, t: float) -> AlgCoords:
     """Left-logarithmic derivative of the geodesic: the rotated alpha_vec in H0."""
-    u = np.zeros(8)
-    u[1:4] = precess(p.alpha_vec, p.beta_vec, t)
-    return AlgCoords(u)
+    return p.product_params().control(t)
 
 
 def boost_distance(x: AlgCoords, tol: float = 1e-10) -> float:
@@ -125,10 +118,7 @@ def cut_bound(beta: float) -> float:
     """Time 2*pi/sqrt(beta^2 - 1) past which the orthogonal family stops minimizing."""
     if not beta > 1.0:
         raise ValueError("cut_bound requires beta > 1")
-    try:
-        return 2.0 * math.pi / math.sqrt(beta * beta - 1.0)
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
+    return 2.0 * math.pi / math.sqrt(beta * beta - 1.0)
 
 
 @dataclass(frozen=True)
@@ -198,8 +188,10 @@ def _log_sl2(m00: complex, m01: complex, m10: complex, m11: complex, branch: int
     """Entries of the traceless logarithm of the unimodular [[m00, m01], [m10, m11]].
 
     Branch k shifts the eigenvalue logs by +-2 pi i k.  Near-degenerate
-    eigenvalues fall back to the principal branch via scipy and reject k != 0
-    (None).
+    eigenvalues (gap below 1e-8, mu = tr/2 = +-1) give branch 0 near +I only:
+    (M - mu I)/mu, the exact atanh(d/mu)/d (M - mu I), d^2 = mu^2 - 1, to a
+    relative (mu^2 - 1)/3 < 1e-16.  Near -I it is None: -I + N (N != 0) has
+    no traceless logarithm, and -I has a sphere of them, none canonical.
     """
     tr = m00 + m11
     disc = cmath.sqrt(tr * tr / 4.0 - 1.0)
@@ -208,13 +200,10 @@ def _log_sl2(m00: complex, m01: complex, m10: complex, m11: complex, branch: int
     if abs(mu_p) < abs(mu_m):
         mu_p, mu_m = mu_m, mu_p
     if abs(mu_p - mu_m) < 1e-8:
-        if branch != 0:
+        mu = tr / 2.0
+        if branch != 0 or mu.real <= 0.0:
             return None
-        from scipy.linalg import logm
-
-        (l00, l01), (l10, l11) = logm(np.array([[m00, m01], [m10, m11]], dtype=complex)).tolist()
-        h = (l00 + l11) / 2.0
-        return l00 - h, l01, l10, l11 - h
+        return (m00 - mu) / mu, m01 / mu, m10 / mu, (m11 - mu) / mu
     gap = mu_p - mu_m
     l_p = cmath.log(mu_p) + 2j * math.pi * branch
     # l_p (2P - I) with P = (M - mu_m I) / gap the projector onto the mu_p eigenline

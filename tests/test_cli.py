@@ -229,6 +229,34 @@ class TestLongestArc:
         path = PathSample.from_csv(io.StringIO(out))
         assert path.points[-1].distance(g) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["boost", "geodesic"])
+    def test_large_determinant_exit_code(self, capsys, kind):
+        # det g = e^60: the endpoint check is scale-free, so exit 0, not a traceback
+        from sublorentz import SRGeodesicParams, sr_geodesic
+
+        if kind == "boost":
+            g1 = np.array([[math.cosh(0.5), math.sinh(0.5)], [math.sinh(0.5), math.cosh(0.5)]])
+        else:
+            p = SRGeodesicParams(np.array([0.6, 0.8, 0.0]), np.array([0.3, -0.5, 1.1]))
+            g1 = sr_geodesic(p, 1.3).m
+        g = Mat2C(math.exp(30.0) * g1)
+        code, out, err = run(capsys, "longest-arc", "--matrix", json.dumps(g.to_json()),
+                             "--samples", "11")
+        assert code == 0 and err == ""
+        path = PathSample.from_csv(io.StringIO(out))
+        assert len(path.times) == 11
+        assert path.points[-1].distance(g) * math.exp(-30.0) < 1e-12
+
+    def test_identity_is_one_point(self, capsys):
+        # the longest arc from e to e is the point e, whatever --samples says
+        code, out, _ = run(capsys, "longest-arc", "--matrix",
+                           json.dumps(Mat2C.identity().to_json()), "--samples", "5")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line and not line.startswith("#")]
+        assert len(rows) == 2  # header and one data row
+        assert '"samples": 5' in out
+        assert PathSample.from_csv(io.StringIO(out)).points[0].distance(Mat2C.identity()) == 0.0
+
     def test_unreachable_exit(self, capsys):
         m = np.array([[math.cosh(0.5), math.sinh(0.5)], [math.sinh(0.5), math.cosh(0.5)]])
         code, _, err = run(capsys, "longest-arc", "--matrix", json.dumps(Mat2C(m).to_json()))

@@ -22,7 +22,7 @@ from sublorentz import (
     su2_exp,
     to_coords,
 )
-from sublorentz.expmap import aligning_rotation, axis_angle_rotation, sinch
+from sublorentz.expmap import aligning_rotation, axis_angle_rotation, sinc_scaled, sinch
 
 
 def vec(*reals):
@@ -312,10 +312,10 @@ class TestProductExpParams:
     def test_removable_singularities(self):
         p = ProductExpParams(np.array([0.5, 1, 0, 0, 0, 0, 0.0]))
         assert p.w2 == 0.0
-        assert p.n2(1.7) == 1.7
+        assert sinc_scaled(p.w2, 1.7) == 1.7
         q = ProductExpParams(np.array([0.0, 1.0, 0, 0, 0, 1.0, 0]))  # w1 = 0
         assert abs(q.w1) == 0.0
-        assert q.n1(0.9) == 0.9
+        assert sinch(q.w1, 0.9) == 0.9
 
 
 def test_real_coefficients_give_hermitian_matrix():

@@ -100,6 +100,7 @@ class TestNormalExtremal:
                 dg = (normal_extremal(p, t + h).m - normal_extremal(p, t - h).m) / (2 * h)
                 u = to_coords(Mat2C(g.inverse().m @ dg))
                 assert np.max(np.abs(u.u[4:])) < 1e-5  # horizontal
+                assert np.max(np.abs(u.u - p.product_params().control(t).u)) < 1e-5
                 q = u.u[0] ** 2 - float(np.dot(u.u[1:4], u.u[1:4]))
                 assert abs(q - want_sq) < 1e-5
                 assert u.u[0] > 0  # future directed
@@ -253,12 +254,21 @@ class TestCausalClassify:
         assert report.causal_class in ("indeterminate", "unreachable")
 
     def test_report_json_roundtrip(self):
-        for g in (boost_target(2.0, 1.0), boost_target(0.0, 1.0), Mat2C.identity()):
-            report = causal_classify(g)
+        p = SRGeodesicParams(np.array([0.6, 0.8, 0.0]), np.array([0.3, -0.4, 1.1]))
+        cases = [(g, {}) for g in (boost_target(2.0, 1.0), boost_target(0.0, 1.0),
+                                   Mat2C.identity())]
+        cases.append((Mat2C(math.exp(1.5 / 2.0) * sr_geodesic(p, 0.8).m), {"seed": 5}))
+        cases.append((Mat2C(math.exp(0.05) * su2_exp([0.0, 0.0, 1.4]).m), {"budget": 70}))
+        reports = []
+        for g, kwargs in cases:
+            report = causal_classify(g, **kwargs)
             back = CausalReport.from_json(report.to_json())
             assert back.causal_class == report.causal_class
             assert back.distance == report.distance
             assert back.xi == report.xi
+            assert (back.eta_exact, back.extrapolated) == (report.eta_exact, report.extrapolated)
+            reports.append(report)
+        assert reports[0].eta_exact and not reports[3].eta_exact and reports[4].extrapolated
 
 
 class TestLongestArc:
@@ -290,6 +300,19 @@ class TestLongestArc:
     def test_identity_target(self):
         path = longest_arc(Mat2C.identity())
         assert len(path.times) == 1 and path.times[0] == 0.0
+
+    @pytest.mark.parametrize("kind", ["boost", "geodesic"])
+    def test_large_determinant_target(self, kind):
+        # det g = e^60: the arc is exact to rounding relative to |g|, so the
+        # endpoint check works in the unimodular frame, not on the absolute gap.
+        if kind == "boost":
+            g1 = boost_target(0.0, 1.0)
+        else:
+            p = SRGeodesicParams(np.array([0.6, 0.8, 0.0]), np.array([0.3, -0.5, 1.1]))
+            g1 = sr_geodesic(p, 1.3)
+        g = Mat2C(math.exp(30.0) * g1.m)
+        path = longest_arc(g, samples=11)
+        assert path.points[-1].distance(g) * math.exp(-30.0) < 1e-12
 
     def test_unreachable_raises_with_report(self):
         with pytest.raises(UnreachableTargetError) as err:

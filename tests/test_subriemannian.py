@@ -428,7 +428,7 @@ class TestShootingLog:
         g = _entries(g1)
         c = np.zeros(3)
         L = np.array(subriemannian._log_g_su2(g, 0.0, 0.0, 0.0, 0)).reshape(2, 2)
-        assert calls, "branch 0 must take the logm fallback"
+        assert not calls, "branch 0 takes the closed form (M - mu I)/mu, not logm"
         assert np.max(np.abs(L - (g1 - np.eye(2)))) < 1e-15  # log(I + N) = N
         assert np.max(np.abs(exp_series(Mat2C(L)).m - g1)) < 1e-15
         res = subriemannian._fixed_point(c, g, 0)
@@ -436,6 +436,18 @@ class TestShootingLog:
         for branch in (1, -1, 2, -2, 3, -3):
             assert subriemannian._log_g_su2(g, 0.0, 0.0, 0.0, branch) is None
             assert np.array_equal(subriemannian._fixed_point(c, g, branch), np.full(3, 1e6))
+
+    @pytest.mark.parametrize("b", [0.0, 0.3])
+    def test_minus_identity_has_no_canonical_log(self, b):
+        # -I + N (N != 0) has no traceless logarithm and -I has a sphere of
+        # them; a logarithm of -M (exp(L) = -M) must never be returned.
+        M = np.array([[-1.0, b], [0.0, -1.0]], dtype=complex)
+        c = np.zeros(3)
+        for branch in self.BRANCHES:
+            assert subriemannian._log_sl2(*_entries(M), branch) is None
+            assert subriemannian._log_g_su2(_entries(M), 0.0, 0.0, 0.0, branch) is None
+            assert np.array_equal(subriemannian._fixed_point(c, _entries(M), branch),
+                                  np.full(3, 1e6))
 
 
 class TestUnconvergedBracket:
