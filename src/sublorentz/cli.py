@@ -160,9 +160,7 @@ def cmd_geodesic(args, cfg: dict) -> int:
 
     if args.kind == "subriemannian":
         p = SRGeodesicParams.normalized(av, bv) if args.normalize else SRGeodesicParams(av, bv)
-        pp = p.product_params()
-        points = tuple(pp.point(float(t)) for t in ts)
-        controls = tuple(pp.control(float(t)) for t in ts)
+        points, controls = p.product_params().sample(ts)
         covectors = None
         target_sq = 1.0
     else:

@@ -30,6 +30,9 @@ SMALL_W = 1e-8
 
 _E = [basis_matrix(i).m for i in range(8)]
 
+# Taylor terms `exp_series` sums at most; the scaled argument has norm <= 1/4.
+_SERIES_TERMS = 40
+
 
 class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
@@ -88,7 +91,7 @@ def exp_closed(a: ComplexAlgVec, t: float) -> Mat2C:
     return Mat2C(scale * out)
 
 
-def exp_series(m: Mat2C, max_terms: int = 40) -> Mat2C:
+def exp_series(m: Mat2C) -> Mat2C:
     """Matrix exponential by scaling-and-squaring with a truncated power series.
 
     Independent oracle: makes no use of the closed forms.  The argument is
@@ -106,7 +109,7 @@ def exp_series(m: Mat2C, max_terms: int = 40) -> Mat2C:
     x = a / (2.0**s)
     acc = np.eye(2, dtype=complex)
     term = np.eye(2, dtype=complex)
-    for k in range(1, max_terms + 1):
+    for k in range(1, _SERIES_TERMS + 1):
         term = term @ x / k
         acc = acc + term
         if np.max(np.abs(term)) <= 1e-18 * np.max(np.abs(acc)):
@@ -322,6 +325,11 @@ class ProductExpParams:
         """The control g^-1 g'(t) = Ad(exp(t b)) a = (a0, precess(a_vec, b_vec, t), 0)."""
         a = self.alpha
         return AlgCoords(np.concatenate([[a[0]], precess(a[1:4], a[4:7], t), np.zeros(4)]))
+
+    def sample(self, ts) -> tuple[tuple, tuple]:
+        """(points, controls) of the curve at each time in ts."""
+        ts = [float(t) for t in ts]
+        return tuple(self.point(t) for t in ts), tuple(self.control(t) for t in ts)
 
     def point(self, t: float) -> Mat2C:
         c = self.coefficients(t)

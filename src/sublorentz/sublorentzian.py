@@ -35,11 +35,7 @@ from .expmap import (
     sinc_scaled,
     sinch,
 )
-from .subriemannian import (
-    DistanceBracket,
-    SRGeodesicParams,
-    distance_shoot,
-)
+from .subriemannian import DistanceBracket, distance_shoot
 
 REGIME_TIMELIKE = "timelike-normal"
 REGIME_ISOTROPIC = "isotropic-normal"
@@ -360,15 +356,10 @@ def extremal_path(p: ExtremalParams, ts) -> PathSample:
     (u0, -u_123, -beta_vec).
     """
     bv = p.alpha[4:7]
-    pp = p.product_params()
     times = np.asarray(ts, dtype=float)
-    points, controls, covectors = [], [], []
-    for t in times:
-        points.append(pp.point(float(t)))
-        u = pp.control(float(t))
-        controls.append(u)
-        covectors.append(CovectorState(np.concatenate([u.u[:1], -u.u[1:4], -bv])))
-    return PathSample(times, tuple(points), tuple(controls), tuple(covectors))
+    points, controls = p.product_params().sample(times)
+    covectors = tuple(CovectorState(np.concatenate([u.u[:1], -u.u[1:4], -bv])) for u in controls)
+    return PathSample(times, points, controls, covectors)
 
 
 # -- SU(2) action -------------------------------------------------------------
@@ -510,22 +501,22 @@ def causal_classify(
     return CausalReport(xi, bracket, CLASS_TIMELIKE, d, math.atanh(eta / xi))
 
 
-def longest_arc(
-    g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0, budget: int = 240
-) -> PathSample:
+def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) -> PathSample:
     """Sample the longest arc from the identity to a reachable target.
 
     Timelike: g(t) = e^{cosh(c) t / 2} gamma(sinh(c) t) over t in [0, d] with
-    gamma the witness geodesic of the eta bracket; isotropic: e^{t/2} gamma(t)
-    over [0, xi].  The identity's longest arc is the single point e: one
-    sample whatever `samples` is, since path times strictly increase.  The
-    endpoint gap is checked in the unimodular frame (times e^{-xi/2}).
-    Unreachable or indeterminate targets raise UnreachableTargetError with
-    the report attached.
+    gamma the witness geodesic (alpha, beta) of the eta bracket; isotropic:
+    e^{t/2} gamma(t) over [0, xi].  Since e_0 is central, this is the normal
+    extremal with constants (cosh c, sinh c alpha, sinh c beta), sampled by
+    `ProductExpParams.sample`.  The identity's longest arc is the single
+    point e: one sample whatever `samples` is, since path times strictly
+    increase.  The endpoint gap is checked in the unimodular frame (times
+    e^{-xi/2}).  Unreachable or indeterminate targets raise
+    UnreachableTargetError with the report attached.
     """
     if samples < 2:
         raise ValueError(f"longest_arc needs samples >= 2, got {samples}")
-    report = causal_classify(g, tol=tol, seed=seed, budget=budget)
+    report = causal_classify(g, tol=tol, seed=seed)
     if report.causal_class in (CLASS_UNREACHABLE, CLASS_INDETERMINATE):
         raise UnreachableTargetError(report)
     if report.causal_class == CLASS_IDENTITY:
@@ -537,30 +528,20 @@ def longest_arc(
         )
     xi = report.xi
     witness = report.eta.witness
+    # No witness means the scalar ray (eta = 0, sinh c = 0): gamma drops out.
+    eta_w, geo = (0.0, np.zeros(6)) if witness is None else (
+        witness.T, np.concatenate([witness.params.alpha_vec, witness.params.beta_vec]))
     if report.causal_class == CLASS_ISOTROPIC:
-        eta_w = witness.T
         total, ch_c, sh_c = xi, 1.0, eta_w / xi
     else:
-        eta_w = 0.0 if witness is None else witness.T
         total = math.sqrt(max(xi * xi - eta_w * eta_w, 0.0))
         ch_c, sh_c = xi / total, eta_w / total
-    if witness is not None:
-        geo_params = witness.params
-    else:
-        geo_params = SRGeodesicParams(np.array([1.0, 0.0, 0.0]), np.zeros(3))
-    gp = geo_params.product_params()
-
     times = np.linspace(0.0, total, samples)
-    points, controls = [], []
-    for t in times:
-        s = sh_c * t
-        points.append(Mat2C(math.exp(ch_c * t / 2.0) * gp.point(s).m))
-        u = gp.control(s).u
-        controls.append(AlgCoords(np.concatenate([[ch_c], sh_c * u[1:4], np.zeros(4)])))
+    points, controls = ProductExpParams(np.concatenate([[ch_c], sh_c * geo])).sample(times)
     residual = points[-1].distance(g) * math.exp(-xi / 2.0)
     if residual > 10.0 * tol:
         raise RuntimeError(f"longest-arc endpoint residual {residual:.3e} exceeds 10*tol")
-    return PathSample(times, tuple(points), tuple(controls), None)
+    return PathSample(times, points, controls, None)
 
 
 def causal_relation(x: Mat2C, y: Mat2C, tol: float = 1e-7, seed: int = 0) -> str:
@@ -635,13 +616,16 @@ def abnormal_extremal(
 
     g = _I2.copy()
     times, points, controls, covectors = [0.0], [Mat2C(g)], [_control_coords(u_dual(0.0))], [covector]
+    # u_123 is parallel to b by construction, so the drift |u_123 x b| is only
+    # rounding on a product of size |b| |u_123|: it is measured on that scale.
     worst_drift = 0.0
     for j in range(steps):
         t = j * h
         u1 = u_dual(t)
         u2 = u_dual(t + h / 2.0)
         u4 = u_dual(t + h)
-        worst_drift = max(worst_drift, float(np.max(np.abs(covector_rhs(psi, u1)))))
+        scale = nb * max(1.0, math.hypot(*u1[1:]))
+        worst_drift = max(worst_drift, float(np.max(np.abs(covector_rhs(psi, u1)))) / scale)
         k1 = g @ _control_matrix(u1)
         k2 = (g + 0.5 * h * k1) @ _control_matrix(u2)
         k3 = (g + 0.5 * h * k2) @ _control_matrix(u2)
@@ -654,7 +638,9 @@ def abnormal_extremal(
         controls.append(_control_coords(u4))
         covectors.append(covector)
     if worst_drift > 1e-9:
-        raise RuntimeError(f"abnormal covector is not stationary: drift {worst_drift:.3e}")
+        raise RuntimeError(
+            f"abnormal covector is not stationary: drift {worst_drift:.3e} |b| max(1, |u_123|)"
+        )
     return PathSample(np.array(times), tuple(points), tuple(controls), tuple(covectors))
 
 

@@ -269,11 +269,11 @@ def distance_shoot(
     Any geodesic reaching g1 at time T proves distance <= T, so the witness
     is the shortest candidate whose endpoint residual is below tol, whatever
     its length or |beta|; the lower end is the hyperbolic projection bound.
-    Deterministic for a fixed seed.
+    tol must be finite and positive.  Deterministic for a fixed seed.
     """
     _require_unimodular(g1)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     lower = distance_lower_bound(g1)
 
     if float(np.max(np.abs(g1.m - _I2))) <= 1e-12:
@@ -297,7 +297,6 @@ def distance_shoot(
     g = tuple(g1m.ravel().tolist())
 
     feasible: list[tuple] = []
-    near_misses: list[tuple] = []
     attempts = 0
     seen_roots: set = set()
 
@@ -318,27 +317,23 @@ def distance_shoot(
             if L is None:
                 continue
             cand = _candidate(g1m, np.array(entry_coords(*L)[1:4]), sol.x)
-            if cand is not None:
-                (feasible if cand[3] < tol else near_misses).append(cand)
+            if cand is not None and cand[3] < tol:
+                feasible.append(cand)
         # A bracket already tight to tolerance cannot improve further.
         if feasible and min(f[0] for f in feasible) <= lower + tol:
             break
 
     # Polish stage: the fixed-point Jacobian degenerates for targets near the
-    # positive definite cone, so near-miss roots (and a polar-seeded start)
-    # are refined by least squares on the endpoint residual.  Skipped when the
-    # bracket is already tight.
-    if not (feasible and min(f[0] for f in feasible) <= lower + tol):
-        near_misses.sort(key=lambda cand: (cand[3], cand[0]))
-        polish_starts = [np.concatenate([T * av, T * bv]) for T, av, bv, _ in near_misses[:4]]
-        x_boost = pd.boost.u[1:4]
-        if float(np.linalg.norm(x_boost)) > 1e-6:
-            log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
-            if log_k is not None:
-                c_seed = -np.array(entry_coords(*log_k)[4:7])
-                polish_starts.append(np.concatenate([x_boost, c_seed]))
-        for x0 in polish_starts:
-            polished = _polish_candidate(g1m, x0, tol)
+    # positive definite cone, so a start seeded from the polar decomposition
+    # (boost X, su(2) part -log k) is refined by least squares on the endpoint
+    # residual.  Skipped when the bracket is already tight.
+    x_boost = pd.boost.u[1:4]
+    tight = feasible and min(f[0] for f in feasible) <= lower + tol
+    if not tight and float(np.linalg.norm(x_boost)) > 1e-6:
+        log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
+        if log_k is not None:
+            c_seed = -np.array(entry_coords(*log_k)[4:7])
+            polished = _polish_candidate(g1m, np.concatenate([x_boost, c_seed]), tol)
             if polished is not None:
                 feasible.append(polished)  # below tol: _polish_candidate checks
 
@@ -467,6 +462,8 @@ def hermitian_endpoint_check(alpha_vec, beta_vec, tol: float = 1e-9) -> Hermitic
     The returned residual is the series-oracle Hermitian defect of the
     endpoint matrix.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     av = np.asarray(alpha_vec, dtype=float)
     bv = np.asarray(beta_vec, dtype=float)
     m = _osn_margins(av, bv)

@@ -1,13 +1,15 @@
 """Acceptance suite: every library-level guarantee with its pinned tolerance.
 
-Each criterion function returns a `CriterionResult`; `run_all` executes the
-suite in order.  The same functions back both `tests/test_acceptance.py` and
+Each criterion is declared once, by `@_criterion(number, name, runtime gate)`,
+which times its body and appends it to `CRITERIA`; `run_all` executes the
+suite in order.  The same callables back both `tests/test_acceptance.py` and
 the CLI `validate` subcommand.  All randomness is drawn from fixed seeds so
 repeated runs produce identical reports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -65,31 +67,33 @@ class CriterionResult:
             self.failures.append(label)
 
 
-# Criterion number -> name, shared by the results and the `run_all` filter.
-_NAMES = {
-    1: "algebraic-ground-truth",
-    2: "exp-oracle-equivalence",
-    3: "pontryagin-vs-closed-form",
-    4: "metric-line-distance",
-    5: "causal-distance-law",
-    6: "orthogonal-cut-coincidence",
-    7: "hermitian-classifier",
-    8: "abnormal-extremals",
-    9: "conjugation-isometry",
-    10: "reverse-triangle",
-}
+CRITERIA: list = []  # every registered criterion, in definition order
 
 
-def _timed(number, limit):
-    return CriterionResult(number, _NAMES[number], True, limit, 0.0)
+def _criterion(number: int, name: str, limit: float):
+    """Register `body(res)` as a zero-argument criterion returning its `CriterionResult`.
 
+    The body is timed and the result fails past `limit` seconds; the wrapper
+    records `criterion = (number, name, limit)` and is appended to `CRITERIA`.
+    """
 
-def _finish(res: CriterionResult, t0: float) -> CriterionResult:
-    res.elapsed = time.perf_counter() - t0
-    if res.elapsed > res.runtime_limit:
-        res.passed = False
-        res.failures.append(f"runtime {res.elapsed:.1f}s exceeds {res.runtime_limit}s")
-    return res
+    def register(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            res = CriterionResult(number, name, True, limit, 0.0)
+            t0 = time.perf_counter()
+            body(res)
+            res.elapsed = time.perf_counter() - t0
+            if res.elapsed > limit:
+                res.passed = False
+                res.failures.append(f"runtime {res.elapsed:.1f}s exceeds {limit}s")
+            return res
+
+        run.criterion = (number, name, limit)
+        CRITERIA.append(run)
+        return run
+
+    return register
 
 
 # Bracket relations among the basis elements: ([e_i, e_j], k, sign) meaning
@@ -102,10 +106,9 @@ BRACKET_TABLE = (
 )
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "algebraic-ground-truth", 1.0)
+def criterion_1(res: CriterionResult) -> None:
     """Structure constants, antisymmetry, Jacobi, Clifford anticommutation."""
-    res = _timed(1, 1.0)
-    t0 = time.perf_counter()
     table = structure_constants()
     worst = 0.0
     for i, j, k, sign in BRACKET_TABLE:
@@ -123,13 +126,11 @@ def criterion_1() -> CriterionResult:
     res.check("central-direction-zero", central == 0.0, central)
     cliff = clifford_check().max_residual
     res.check("clifford-residual-zero", cliff == 0.0, cliff)
-    return _finish(res, t0)
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "exp-oracle-equivalence", 5.0)
+def criterion_2(res: CriterionResult) -> None:
     """Closed-form exponential against the series oracle on 1000 random inputs."""
-    res = _timed(2, 5.0)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(1202)
     worst = 0.0
     for _ in range(1000):
@@ -145,13 +146,11 @@ def criterion_2() -> CriterionResult:
         series = exp_series(Mat2C(t * a.matrix().m))
         worst = max(worst, float(np.max(np.abs(closed.m - series.m))))
     res.check("max-entrywise-deviation<1e-12", worst < 1e-12, worst)
-    return _finish(res, t0)
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "pontryagin-vs-closed-form", 60.0)
+def criterion_3(res: CriterionResult) -> None:
     """Pontryagin integration against the closed form, 50 draws per regime."""
-    res = _timed(3, 60.0)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(1303)
     T, steps = 5.0, 5000  # step 1e-3
     worst_dev = 0.0
@@ -179,13 +178,11 @@ def criterion_3() -> CriterionResult:
                 worst_drift = max(worst_drift, abs(m - m0))
     res.check("final-state-deviation<1e-8", worst_dev < 1e-8, worst_dev)
     res.check("conservation-drift<1e-9", worst_drift < 1e-9, worst_drift)
-    return _finish(res, t0)
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "metric-line-distance", 120.0)
+def criterion_4(res: CriterionResult) -> None:
     """Shooting brackets on boost targets exp(T e1) reproduce the metric-line distance."""
-    res = _timed(4, 120.0)
-    t0 = time.perf_counter()
     for T in (0.5, 1.0, 2.0):
         target = exp_closed(ComplexAlgVec.from_reals([0.0, 1.0, 0.0, 0.0]), T)
         br = distance_shoot(target, tol=1e-7, seed=3)
@@ -193,13 +190,11 @@ def criterion_4() -> CriterionResult:
         res.check(f"T={T}-upper-close", br.upper - T < 1e-3, br.upper - T)
         res.check(f"T={T}-contains", br.lower - 1e-12 <= T <= br.upper + 1e-12)
         res.check(f"T={T}-converged", br.converged)
-    return _finish(res, t0)
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "causal-distance-law", 120.0)
+def criterion_5(res: CriterionResult) -> None:
     """Distance law sqrt(xi^2 - eta^2) with the timelike/isotropic/unreachable trichotomy."""
-    res = _timed(5, 120.0)
-    t0 = time.perf_counter()
 
     def target(xi, eta):
         boost = exp_closed(ComplexAlgVec.from_reals([0.0, 1.0, 0.0, 0.0]), eta)
@@ -223,13 +218,11 @@ def criterion_5() -> CriterionResult:
     rep = causal_classify(target(0.0, 1.0))
     res.check("xi0-eta1-unreachable", rep.causal_class == CLASS_UNREACHABLE, rep.causal_class)
     res.check("xi0-eta1-marker", rep.to_json()["distance"] == "-inf", rep.to_json()["distance"])
-    return _finish(res, t0)
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "orthogonal-cut-coincidence", 1.0)
+def criterion_6(res: CriterionResult) -> None:
     """Orthogonal-family cut: distinct alpha choices meet at 2*pi/sqrt(beta^2-1)."""
-    res = _timed(6, 1.0)
-    t0 = time.perf_counter()
     beta = 2.0
     t_cut = 2.0 * math.pi / math.sqrt(beta * beta - 1.0)
     p1 = SRGeodesicParams(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, beta]))
@@ -245,7 +238,6 @@ def criterion_6() -> CriterionResult:
         "endpoint-formula", float(np.max(np.abs(g1.m - formula))) < 1e-9,
         float(np.max(np.abs(g1.m - formula))),
     )
-    return _finish(res, t0)
 
 
 def _orthonormal_pair(rng) -> tuple[np.ndarray, np.ndarray]:
@@ -265,10 +257,9 @@ def _osn_boundary_margin(av, bv) -> float:
     return min(qs)
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "hermitian-classifier", 30.0)
+def criterion_7(res: CriterionResult) -> None:
     """Hermitian-endpoint classifier against the series-oracle defect, 1000 draws."""
-    res = _timed(7, 30.0)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(1707)
     draws = []
     for _ in range(500):  # generic draws, almost surely non-Hermitian
@@ -338,13 +329,11 @@ def criterion_7() -> CriterionResult:
     )
     res.check("root-case-tagged", report.case == "tangent-fixed-point", report.case)
     res.check("root-case-defect<1e-9", report.residual < 1e-9, report.residual)
-    return _finish(res, t0)
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "abnormal-extremals", 10.0)
+def criterion_8(res: CriterionResult) -> None:
     """Strictly abnormal closed forms and the nonstrict (subgroup) detector."""
-    res = _timed(8, 10.0)
-    t0 = time.perf_counter()
     T, steps = 3.0, 600
     nodes = np.linspace(0.0, T, 2 * steps + 1)  # half-step nodes: interpolation exact
 
@@ -390,7 +379,6 @@ def criterion_8() -> CriterionResult:
         "certificate-covector",
         cert is not None and float(np.max(np.abs(cert.covector - want))) < 1e-9,
     )
-    return _finish(res, t0)
 
 
 def _random_su2(rng) -> Mat2C:
@@ -399,10 +387,9 @@ def _random_su2(rng) -> Mat2C:
     return su2_exp(v)
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "conjugation-isometry", 300.0)
+def criterion_9(res: CriterionResult) -> None:
     """Conjugation by SU(2) preserves classified distances."""
-    res = _timed(9, 300.0)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(1909)
     worst = 0.0
     worst_width = 0.0
@@ -425,13 +412,11 @@ def criterion_9() -> CriterionResult:
         worst = max(worst, abs(rep1.distance - rep2.distance))
     res.check("combined-bracket-widths<5e-3", worst_width < 5e-3, worst_width)
     res.check("distance-agreement<5e-3", worst < 5e-3, worst)
-    return _finish(res, t0)
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "reverse-triangle", 300.0)
+def criterion_10(res: CriterionResult) -> None:
     """Reverse triangle inequality on causal triples from longest arcs and perturbations."""
-    res = _timed(10, 300.0)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(2010)
 
     def boost_arc_point(q, direction, c, t, extra=None) -> Mat2C:
@@ -489,31 +474,11 @@ def criterion_10() -> CriterionResult:
     res.check("all-triples-decided", undecided == 0, undecided)
     res.check("reverse-inequality-holds", worst_violation <= 0.0, worst_violation)
     res.check("collinear-equality", worst_equality <= 0.0, worst_equality)
-    return _finish(res, t0)
-
-
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
 
 
 def run_all(only: str | None = None) -> list[CriterionResult]:
     """Run the acceptance criteria, optionally filtered by name substring or number."""
-    results = []
-    for fn in CRITERIA:
-        number = int(fn.__name__.rsplit("_", 1)[1])
-        if only is not None:
-            name = _NAMES[number]
-            if only.lower() not in name and only != str(number):
-                continue
-        results.append(fn())
-    return results
+    return [
+        fn() for fn in CRITERIA
+        if only is None or only.lower() in fn.criterion[1] or only == str(fn.criterion[0])
+    ]

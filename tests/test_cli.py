@@ -286,6 +286,16 @@ class TestExtremal:
         path = PathSample.from_csv(io.StringIO(out))
         assert len(path.times) == 201
 
+    def test_abnormal_drift_is_scale_free(self, capsys):
+        # The covector is projective: scaling beta_dir by 1e9 changes nothing.
+        argv = ["extremal", "abnormal", "--regime", "timelike", "--kappa", "0:0,1:0.5",
+                "--steps", "1000", "--beta-dir"]
+        code, out, err = run(capsys, *argv, "3e8,7e8,2e8")
+        assert code == 0 and err == ""
+        _, ref, _ = run(capsys, *argv, "0.3,0.7,0.2")
+        big, unit = (PathSample.from_csv(io.StringIO(text)) for text in (out, ref))
+        assert max(p.distance(q) for p, q in zip(big.points, unit.points)) <= 1e-15
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -333,6 +343,36 @@ class TestHermitianCheck:
         result = parse_payload(out)["result"]
         assert result["case"] == "collinear"
         assert result["residual"] < 1e-12
+
+    def test_exact_tol(self, capsys):
+        code, out, _ = run(capsys, "hermitian-check", "--alpha", "1,0,0", "--beta", "2,0,0",
+                           "--tol", "0")
+        assert code == 0
+        assert parse_payload(out)["result"]["case"] == "collinear"
+
+
+_TIMELIKE_BOOST = json.dumps(Mat2C(math.exp(1.0) * np.array(
+    [[math.cosh(0.25), math.sinh(0.25)], [math.sinh(0.25), math.cosh(0.25)]])).to_json())
+_SHEAR = json.dumps({"m": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]})  # unimodular, not a boost
+
+
+_BAD_TOL = [
+    (["hermitian-check", "--alpha", "1,0,0", "--beta", "2,0,0"], ("nan", "inf", "-1")),
+    (["distance", "--matrix", _SHEAR], ("nan", "inf")),
+    (["classify", "--matrix", _TIMELIKE_BOOST], ("nan", "inf")),
+    (["longest-arc", "--matrix", _TIMELIKE_BOOST], ("nan", "inf")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*cmd, "--tol", tol] for cmd, tols in _BAD_TOL for tol in tols],
+    ids=lambda argv: f"{argv[0]}-{argv[-1]}",
+)
+def test_bad_tol_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestValidate:

@@ -245,6 +245,22 @@ class TestDistanceShoot:
         assert abs(a.upper - 0.8000000000000003) <= 1e-12
         assert abs(a.witness.T - 0.8000000000000003) <= 1e-12
 
+    def test_polish_refines_only_the_polar_seed(self, monkeypatch):
+        # Small |beta|: the root solves leave the bracket loose, so the polish runs.
+        calls = []
+        solve = subriemannian.least_squares
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(subriemannian, "least_squares", counting_solve)
+        p = params([0.48516030160457185, -0.43389553188805674, -0.7591799188298787],
+                   [0.0018626643585940663, -0.001999478720363208, 0.0009483277950850703])
+        br = distance_shoot(sr_geodesic(p, 1.1672458844635885))
+        assert len(calls) == 1
+        assert br.upper.hex() == "0x1.2ad0a05429628p+0"
+
     def test_shooting_builds_few_matrices(self, monkeypatch):
         # The fixed-point residual works on complex scalars; a Mat2C per
         # evaluation would build over 17,000 here.
@@ -263,8 +279,9 @@ class TestDistanceShoot:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             distance_shoot(Mat2C(2.0 * np.eye(2)))
-        with pytest.raises(ValueError):
-            distance_shoot(Mat2C.identity(), tol=0.0)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                distance_shoot(Mat2C.identity(), tol=tol)
 
     def test_bracket_json_roundtrip(self):
         target = sr_geodesic(params([0, 1, 0], [0.2, 0, -0.5]), 0.6)
