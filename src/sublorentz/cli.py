@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -223,6 +224,8 @@ def cmd_longest_arc(args, cfg: dict) -> int:
 def cmd_pontryagin(args, cfg: dict) -> int:
     if args.psi0 is None or not args.step > 0:
         raise ValueError("pontryagin needs --psi0 and a positive --step")
+    if not (math.isfinite(args.T) and args.T > 0):
+        raise ValueError(f"--T must be finite and positive, got {args.T}")
     psi0 = _parse_floats(args.psi0, 7)
     steps = max(1, round(args.T / args.step))
     path = pontryagin_integrate(psi0, _REGIMES[args.regime], args.T, steps,

@@ -20,6 +20,7 @@ the bracket is exact (positive definite Hermitian g1).
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
@@ -39,9 +40,6 @@ from .subriemannian import DistanceBracket, distance_shoot
 
 REGIME_TIMELIKE = "timelike-normal"
 REGIME_ISOTROPIC = "isotropic-normal"
-
-_I2 = np.eye(2, dtype=complex)
-
 
 class IntegrationDivergedError(RuntimeError):
     """Integration produced a non-finite state; carries the divergence time."""
@@ -153,39 +151,119 @@ class CovectorState:
         object.__setattr__(self, "psi", p)
 
 
+def _adjoint_rhs(p1, p2, p3, p4, p5, p6, u1, u2, u3) -> tuple:
+    """(psi1', ..., psi6') for covector entries p1..p6 and control u1..u3; psi0' = 0."""
+    return (
+        u2 * p6 - u3 * p5,
+        -u1 * p6 + u3 * p4,
+        u1 * p5 - u2 * p4,
+        u2 * p3 - u3 * p2,
+        -u1 * p3 + u3 * p1,
+        u1 * p2 - u2 * p1,
+    )
+
+
 def covector_rhs(psi, u_dual) -> np.ndarray:
     """Adjoint equations for a horizontal control with dual coordinates (u0..u3).
 
     Valid for any measurable control; the normal case sets u_k = psi_k.
     psi0 is conserved, the su(2) block is driven by the H0 block and vice
-    versa through the cross products below.
+    versa through the cross products of `_adjoint_rhs`.
     """
     _, p1, p2, p3, p4, p5, p6 = np.asarray(psi, dtype=float).tolist()
     _, u1, u2, u3 = np.asarray(u_dual, dtype=float).tolist()
-    return np.array(
-        [
-            0.0,
-            u2 * p6 - u3 * p5,
-            -u1 * p6 + u3 * p4,
-            u1 * p5 - u2 * p4,
-            u2 * p3 - u3 * p2,
-            -u1 * p3 + u3 * p1,
-            u1 * p2 - u2 * p1,
-        ]
+    return np.array([0.0, *_adjoint_rhs(p1, p2, p3, p4, p5, p6, u1, u2, u3)])
+
+
+def _times_control(g00, g01, g10, g11, u0, u1, u2, u3) -> tuple:
+    """Entries of g (u0 e0 - u1 e1 - u2 e2 - u3 e3) for g = [[g00, g01], [g10, g11]]."""
+    a = 0.5 * (u0 - u3)
+    b = 0.5 * (-u1 - 1j * u2)
+    c = 0.5 * (-u1 + 1j * u2)
+    d = 0.5 * (u0 + u3)
+    return g00 * a + g01 * c, g00 * b + g01 * d, g10 * a + g11 * c, g10 * b + g11 * d
+
+
+def _rk4_point(g, h6: float, k1, k2, k3, k4) -> tuple:
+    """g + h6 (k1 + 2 k2 + 2 k3 + k4), entry by entry."""
+    g00, g01, g10, g11 = g
+    a00, a01, a10, a11 = k1
+    b00, b01, b10, b11 = k2
+    c00, c01, c10, c11 = k3
+    d00, d01, d10, d11 = k4
+    return (
+        g00 + h6 * (a00 + 2 * b00 + 2 * c00 + d00),
+        g01 + h6 * (a01 + 2 * b01 + 2 * c01 + d01),
+        g10 + h6 * (a10 + 2 * b10 + 2 * c10 + d10),
+        g11 + h6 * (a11 + 2 * b11 + 2 * c11 + d11),
     )
 
 
-def _control_matrix(u_dual) -> np.ndarray:
-    """Matrix of u0 e0 - u1 e1 - u2 e2 - u3 e3."""
-    u0, u1, u2, u3 = (float(x) for x in u_dual)
-    return 0.5 * np.array(
-        [[u0 - u3, -u1 - 1j * u2], [-u1 + 1j * u2, u0 + u3]], dtype=complex
+def _normal_step(g, p0: float, p, h: float) -> tuple[tuple, tuple]:
+    """One RK4 step of the normal flow (control u_k = psi_k) on scalars.
+
+    g holds the entries (g00, g01, g10, g11) of the group point and p the
+    covector entries psi1..psi6.  psi0 is conserved (psi0' = 0 exactly), so
+    it is not stepped; the su(2) block psi4..6 is constant too (u x psi_123
+    vanishes), while the H0 block psi1..3 precesses.  Returns the new (g, p).
+    """
+    g00, g01, g10, g11 = g
+    p1, p2, p3, p4, p5, p6 = p
+    hh = 0.5 * h
+    k1 = a00, a01, a10, a11 = _times_control(g00, g01, g10, g11, p0, p1, p2, p3)
+    a1, a2, a3, a4, a5, a6 = _adjoint_rhs(p1, p2, p3, p4, p5, p6, p1, p2, p3)
+    q1, q2, q3 = p1 + hh * a1, p2 + hh * a2, p3 + hh * a3
+    k2 = b00, b01, b10, b11 = _times_control(
+        g00 + hh * a00, g01 + hh * a01, g10 + hh * a10, g11 + hh * a11, p0, q1, q2, q3)
+    b1, b2, b3, b4, b5, b6 = _adjoint_rhs(
+        q1, q2, q3, p4 + hh * a4, p5 + hh * a5, p6 + hh * a6, q1, q2, q3)
+    q1, q2, q3 = p1 + hh * b1, p2 + hh * b2, p3 + hh * b3
+    k3 = c00, c01, c10, c11 = _times_control(
+        g00 + hh * b00, g01 + hh * b01, g10 + hh * b10, g11 + hh * b11, p0, q1, q2, q3)
+    c1, c2, c3, c4, c5, c6 = _adjoint_rhs(
+        q1, q2, q3, p4 + hh * b4, p5 + hh * b5, p6 + hh * b6, q1, q2, q3)
+    q1, q2, q3 = p1 + h * c1, p2 + h * c2, p3 + h * c3
+    k4 = _times_control(
+        g00 + h * c00, g01 + h * c01, g10 + h * c10, g11 + h * c11, p0, q1, q2, q3)
+    d1, d2, d3, d4, d5, d6 = _adjoint_rhs(
+        q1, q2, q3, p4 + h * c4, p5 + h * c5, p6 + h * c6, q1, q2, q3)
+    h6 = h / 6.0
+    return _rk4_point(g, h6, k1, k2, k3, k4), (
+        p1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1),
+        p2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2),
+        p3 + h6 * (a3 + 2 * b3 + 2 * c3 + d3),
+        p4 + h6 * (a4 + 2 * b4 + 2 * c4 + d4),
+        p5 + h6 * (a5 + 2 * b5 + 2 * c5 + d5),
+        p6 + h6 * (a6 + 2 * b6 + 2 * c6 + d6),
     )
+
+
+def _gauge_step(g, u_start, u_mid, u_end, h: float) -> tuple:
+    """One RK4 step of g' = g u(t) with the control sampled at t, t + h/2 and t + h."""
+    g00, g01, g10, g11 = g
+    hh = 0.5 * h
+    k1 = a00, a01, a10, a11 = _times_control(g00, g01, g10, g11, *u_start)
+    k2 = b00, b01, b10, b11 = _times_control(
+        g00 + hh * a00, g01 + hh * a01, g10 + hh * a10, g11 + hh * a11, *u_mid)
+    k3 = c00, c01, c10, c11 = _times_control(
+        g00 + hh * b00, g01 + hh * b01, g10 + hh * b10, g11 + hh * b11, *u_mid)
+    k4 = _times_control(g00 + h * c00, g01 + h * c01, g10 + h * c10, g11 + h * c11, *u_end)
+    return _rk4_point(g, h / 6.0, k1, k2, k3, k4)
+
+
+def _finite(values) -> bool:
+    return all(map(cmath.isfinite, values))
+
+
+def _point(g) -> Mat2C:
+    g00, g01, g10, g11 = g
+    return Mat2C([[g00, g01], [g10, g11]])
 
 
 def _control_coords(u_dual) -> AlgCoords:
-    u0, u1, u2, u3 = (float(x) for x in u_dual)
-    return AlgCoords(np.array([u0, -u1, -u2, -u3, 0.0, 0.0, 0.0, 0.0]))
+    """Coordinates of the control u0 e0 - u1 e1 - u2 e2 - u3 e3."""
+    u0, u1, u2, u3 = u_dual
+    return AlgCoords([u0, -u1, -u2, -u3, 0.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +366,6 @@ class PathSample:
         return buf.getvalue()
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite results are checked
 def pontryagin_integrate(
     psi0,
     regime: str,
@@ -301,51 +378,51 @@ def pontryagin_integrate(
     State: the group point g (g' = g u with u built from the covector,
     u_k = psi_k) and the covector coordinates.  psi(0) must satisfy the
     regime normalization: timelike psi0 > 0 with psi0^2 - |psi_123|^2 = 1,
-    isotropic psi0 = 1 with |psi_123|^2 = 1.  Fixed step keeps runs
-    bit-reproducible; a non-finite state aborts with the divergence time.
+    isotropic psi0 = 1 with |psi_123|^2 = 1.  Each step runs on Python
+    scalars (four complex entries of g, seven covector floats), so runs are
+    bit-reproducible and independent of BLAS; the points agree with a numpy
+    `g @ u` step to rounding.  Every `record_every`-th state and the last
+    are recorded; a non-finite recorded state aborts with its time.
     """
     psi = psi0.psi.copy() if isinstance(psi0, CovectorState) else np.asarray(psi0, dtype=float).copy()
     if psi.shape != (7,):
         raise ValueError("psi0 must have 7 coordinates")
-    norm_sq = float(np.dot(psi[1:4], psi[1:4]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the checks below
+        norm_sq = float(np.dot(psi[1:4], psi[1:4]))
+        timelike_residual = abs(psi[0] ** 2 - norm_sq - 1.0)
     if regime == REGIME_TIMELIKE:
-        if not (psi[0] > 0 and abs(psi[0] ** 2 - norm_sq - 1.0) <= 1e-9):
+        if not (psi[0] > 0 and timelike_residual <= 1e-9):
             raise ValueError("timelike regime requires psi0 > 0 and psi0^2 - |psi_123|^2 = 1")
     elif regime == REGIME_ISOTROPIC:
         if not (abs(psi[0] - 1.0) <= 1e-12 and abs(norm_sq - 1.0) <= 1e-9):
             raise ValueError("isotropic regime requires psi0 = 1 and |psi_123| = 1")
     else:
         raise ValueError(f"unknown regime {regime!r}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got {T}")
     if steps < 1:
         raise ValueError("steps must be positive")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
 
     h = T / steps
-    g = _I2.copy()
-
-    def f(gm, p):
-        # Normal flow: su(2) covector block is constant, H0 block precesses.
-        return gm @ _control_matrix(p[:4]), covector_rhs(p, p[:4])
-
+    p0, *p = psi.tolist()
+    g = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
     times, points, controls, covectors = [], [], [], []
 
-    def record(j, gm, p):
+    def record(j, g, p):
         times.append(j * h)
-        points.append(Mat2C(gm))
-        controls.append(_control_coords(p[:4]))
-        covectors.append(CovectorState(p))
+        points.append(_point(g))
+        controls.append(_control_coords((p0, *p[:3])))
+        covectors.append(CovectorState(np.array([p0, *p])))
 
-    record(0, g, psi)
+    record(0, g, p)
     for j in range(steps):
-        k1g, k1p = f(g, psi)
-        k2g, k2p = f(g + 0.5 * h * k1g, psi + 0.5 * h * k1p)
-        k3g, k3p = f(g + 0.5 * h * k2g, psi + 0.5 * h * k2p)
-        k4g, k4p = f(g + h * k3g, psi + h * k3p)
-        g = g + (h / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-        psi = psi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        g, p = _normal_step(g, p0, p, h)
         if (j + 1) % record_every == 0 or j == steps - 1:
-            if not (np.all(np.isfinite(g.view(float))) and np.all(np.isfinite(psi))):
+            if not (_finite(g) and _finite(p)):
                 raise IntegrationDivergedError((j + 1) * h)
-            record(j + 1, g, psi)
+            record(j + 1, g, p)
     return PathSample(np.array(times), tuple(points), tuple(controls), tuple(covectors))
 
 
@@ -565,7 +642,6 @@ def causal_relation(x: Mat2C, y: Mat2C, tol: float = 1e-7, seed: int = 0) -> str
 # -- abnormal extremals -------------------------------------------------------
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite results are checked
 def abnormal_extremal(
     kappa_times,
     kappa_values,
@@ -580,15 +656,20 @@ def abnormal_extremal(
     timelike u0 = cosh(kappa), u_i = b_hat_i sinh(kappa); isotropic
     u0 = |kappa|, u_i = b_hat_i kappa with kappa nonvanishing.  kappa is
     linearly interpolated between nodes, so supplying nodes at half-step
-    resolution makes the integrator see exact values.
+    resolution makes the integrator see exact values.  The RK4 steps run on
+    Python scalars, like `pontryagin_integrate`.
     """
     kt = np.asarray(kappa_times, dtype=float)
     kv = np.asarray(kappa_values, dtype=float)
     if kt.ndim != 1 or kt.shape != kv.shape or len(kt) < 2:
         raise ValueError("kappa must be sampled at two or more nodes")
+    if not (np.isfinite(kt).all() and np.isfinite(kv).all()):
+        raise ValueError("kappa times and values must be finite")
     if kt[0] != 0.0 or not np.all(np.diff(kt) > 0):
         raise ValueError("kappa nodes must start at 0 and increase")
     bv = np.asarray(beta_dir, dtype=float)
+    if bv.shape != (3,) or not np.isfinite(bv).all():
+        raise ValueError("beta_dir must be three finite numbers")
     nb = float(np.linalg.norm(bv))
     if nb == 0.0:
         raise ValueError("beta_dir must be nonzero")
@@ -599,49 +680,44 @@ def abnormal_extremal(
         raise ValueError(f"unknown regime {regime!r}")
     if steps < 1:
         raise ValueError("steps must be positive")
-    bhat = bv / nb
+    b1, b2, b3 = (bv / nb).tolist()
+    p4, p5, p6 = (-bv).tolist()
     T = float(kt[-1])
     h = T / steps
 
-    def u_dual(t):
-        k = float(np.interp(t, kt, kv))
+    def u_dual(k):
         if regime == REGIME_TIMELIKE:
             mag, u0 = math.sinh(k), math.cosh(k)
         else:
             mag, u0 = k, abs(k)
-        return (u0, bhat[0] * mag, bhat[1] * mag, bhat[2] * mag)
+        return (u0, b1 * mag, b2 * mag, b3 * mag)
 
-    psi = np.concatenate([np.zeros(4), -bv])
-    covector = CovectorState(psi)
+    # kappa at the stage times j h, j h + h/2 and j h + h of every step.
+    t = np.arange(steps) * h
+    k_start, k_mid, k_end = (np.interp(x, kt, kv).tolist() for x in (t, t + h / 2.0, t + h))
+    covector = CovectorState(np.array([0.0, 0.0, 0.0, 0.0, p4, p5, p6]))
 
-    g = _I2.copy()
-    times, points, controls, covectors = [0.0], [Mat2C(g)], [_control_coords(u_dual(0.0))], [covector]
+    g = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+    times, points, controls = [0.0], [_point(g)], [_control_coords(u_dual(k_start[0]))]
     # u_123 is parallel to b by construction, so the drift |u_123 x b| is only
     # rounding on a product of size |b| |u_123|: it is measured on that scale.
     worst_drift = 0.0
     for j in range(steps):
-        t = j * h
-        u1 = u_dual(t)
-        u2 = u_dual(t + h / 2.0)
-        u4 = u_dual(t + h)
+        u1, u2, u4 = u_dual(k_start[j]), u_dual(k_mid[j]), u_dual(k_end[j])
         scale = nb * max(1.0, math.hypot(*u1[1:]))
-        worst_drift = max(worst_drift, float(np.max(np.abs(covector_rhs(psi, u1)))) / scale)
-        k1 = g @ _control_matrix(u1)
-        k2 = (g + 0.5 * h * k1) @ _control_matrix(u2)
-        k3 = (g + 0.5 * h * k2) @ _control_matrix(u2)
-        k4 = (g + h * k3) @ _control_matrix(u4)
-        g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(g.view(float))):
+        drift = max(map(abs, _adjoint_rhs(0.0, 0.0, 0.0, p4, p5, p6, *u1[1:])))
+        worst_drift = max(worst_drift, drift / scale)
+        g = _gauge_step(g, u1, u2, u4, h)
+        if not _finite(g):
             raise IntegrationDivergedError((j + 1) * h)
         times.append((j + 1) * h)
-        points.append(Mat2C(g))
+        points.append(_point(g))
         controls.append(_control_coords(u4))
-        covectors.append(covector)
     if worst_drift > 1e-9:
         raise RuntimeError(
             f"abnormal covector is not stationary: drift {worst_drift:.3e} |b| max(1, |u_123|)"
         )
-    return PathSample(np.array(times), tuple(points), tuple(controls), tuple(covectors))
+    return PathSample(np.array(times), tuple(points), tuple(controls), (covector,) * len(times))
 
 
 @dataclass(frozen=True)

@@ -326,8 +326,19 @@ class TestExtremal:
             (["pontryagin", "--psi0", "1.4142135623730951,-1,0,0,0,0,0", "--regime", "timelike",
               "--T", "1e300", "--step", "1e299"],
              "integration diverged"),
+        ] + [
+            (["pontryagin", "--psi0", "1.4142135623730951,-1,0,0,0,0,0", "--regime", "timelike",
+              "--T", T], "--T must be finite and positive") for T in ("0", "-1", "nan")
+        ] + [
+            (["abnormal", "--regime", "timelike", "--kappa", "0:nan,1:1"],
+             "kappa times and values must be finite"),
+            (["abnormal", "--regime", "timelike", "--beta-dir", "inf,0,0"],
+             "beta_dir must be three finite numbers"),
+            (["abnormal", "--regime", "timelike", "--kappa", "0:0,inf:1"],
+             "kappa times and values must be finite"),
         ],
-        ids=["overflow-psi0", "nan-psi0", "diverged", "pontryagin-diverged"],
+        ids=["overflow-psi0", "nan-psi0", "diverged", "pontryagin-diverged", "T-zero", "T-negative",
+             "T-nan", "kappa-value-nan", "beta-dir-inf", "kappa-time-inf"],
     )
     def test_non_finite_exit_code(self, capsys, argv, message):
         code, out, err = run(capsys, "extremal", *argv)

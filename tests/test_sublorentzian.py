@@ -36,7 +36,7 @@ from sublorentz import (
     su2_exp,
     to_coords,
 )
-from sublorentz.sublorentzian import ExtremalParams
+from sublorentz.sublorentzian import ExtremalParams, _gauge_step, _normal_step
 
 
 def boost_target(xi, eta, direction=(1.0, 0.0, 0.0)):
@@ -188,6 +188,143 @@ class TestPontryagin:
     def test_regime_preconditions_non_finite(self, psi0, regime):
         with pytest.raises(ValueError, match="regime requires"):
             pontryagin_integrate(np.array(psi0, dtype=float), regime, 1.0, 10)
+
+    @pytest.mark.parametrize(
+        "T, steps, record_every",
+        [(0.0, 10, 1), (-1.0, 10, 1), (math.nan, 10, 1), (math.inf, 10, 1), (1.0, 10, 0), (1.0, 10, -3)],
+        ids=["T-zero", "T-negative", "T-nan", "T-inf", "record-every-zero", "record-every-negative"],
+    )
+    def test_rejects_bad_T_and_record_every(self, T, steps, record_every):
+        psi0 = np.array([math.sqrt(2.0), -1.0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="T must be|record_every must be"):
+            pontryagin_integrate(psi0, REGIME_TIMELIKE, T, steps, record_every=record_every)
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+def _final_hex(path):
+    """float.hex of the final point (re, im per entry, row-major) and covector."""
+    m = path.points[-1].m.ravel()
+    return _hex(np.column_stack([m.real, m.imag]).ravel()), _hex(path.covectors[-1].psi)
+
+
+def _golden_runs():
+    p = ExtremalParams.timelike([0.4, -0.2, 0.6], [0.5, 0.1, -0.7])
+    psi0 = np.concatenate([[p.alpha[0]], -p.alpha[1:]])
+    q = ExtremalParams.isotropic([0.6, 0.8, 0.0], [-0.3, 0.2, 0.9])
+    psi0_iso = np.concatenate([[1.0], -q.alpha[1:]])
+    return {
+        "timelike": lambda: pontryagin_integrate(psi0, REGIME_TIMELIKE, 2.0, 2000, record_every=100),
+        "isotropic": lambda: pontryagin_integrate(
+            psi0_iso, REGIME_ISOTROPIC, 2.0, 2000, record_every=100),
+        "abnormal": lambda: abnormal_extremal(
+            [0.0, 0.5, 1.0], [0.2, -0.4, 0.9], (0.5, -1.0, 2.0), REGIME_TIMELIKE, 1000),
+    }
+
+
+_GOLDEN_RUNS = _golden_runs()
+
+# The integrators run on Python scalars, so their bits do not depend on BLAS.
+_GOLDEN = {
+    "timelike": (
+        ["0x1.64fccc869a31ep+2", "0x1.52d94bbcdb7d5p-2", "0x1.006c3d793c1d4p-2", "-0x1.45d0d7240e01bp+1",
+         "0x1.f2ac32323ddcap-2", "0x1.dfe6301b42937p+0", "0x1.84e14ba92353cp+1", "-0x1.45f29423bd79cp-2"],
+        ["0x1.3fbe701157608p+0", "0x1.5d4681ef046c2p-2", "0x1.55065e766b077p-1", "-0x1.0ab9d2587aa1fp-8",
+         "-0x1.0000000000000p-1", "-0x1.999999999999ap-4", "0x1.6666666666666p-1"],
+    ),
+    "isotropic": (
+        ["0x1.73f41ff4bb5ecp+1", "-0x1.7a5977586fb35p-1", "-0x1.1cc9607e73e4ep-1", "0x1.5ff5afee2e44ap+1",
+         "-0x1.d77a21c5ea358p-1", "-0x1.1f0f6a17cf20dp+1", "0x1.29c5cef3f42adp+2", "0x1.7b70c2ca6d776p-1"],
+        ["0x1.0000000000000p+0", "0x1.cce0eaa112cf5p-1", "-0x1.ce7fb3b0bf3e1p-3", "0x1.7d658e40716e3p-2",
+         "0x1.3333333333333p-2", "-0x1.999999999999ap-3", "-0x1.ccccccccccccdp-1"],
+    ),
+    "abnormal": (
+        ["0x1.a3dcf45496b6cp+0", "0x0.0p+0", "-0x1.013c8dac3d9f8p-6", "0x1.013c8dac3d9f8p-5",
+         "-0x1.013c8dac3da02p-6", "-0x1.013c8dac3da02p-5", "0x1.c404860a1e6b6p+0", "0x0.0p+0"],
+        ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.0000000000000p-1", "0x1.0000000000000p+0", "-0x1.0000000000000p+1"],
+    ),
+}
+
+
+def _path_bytes(path):
+    return (
+        path.times.tobytes(),
+        b"".join(p.m.tobytes() for p in path.points),
+        b"".join(u.u.tobytes() for u in path.controls),
+        b"".join(c.psi.tobytes() for c in path.covectors),
+    )
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_integrator_golden_bits(name):
+    assert _final_hex(_GOLDEN_RUNS[name]()) == _GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_integrator_reruns_are_byte_identical(name):
+    run = _GOLDEN_RUNS[name]
+    assert _path_bytes(run()) == _path_bytes(run())
+
+
+def _oracle_rhs(g, psi, u):
+    """g' = g (u0 e0 - u1 e1 - u2 e2 - u3 e3) on numpy arrays; the su(2) block
+    of the covector moves by u x psi_456 and the H0 block by u x psi_123."""
+    U = u[0] * basis_matrix(0).m - sum(u[i] * basis_matrix(i).m for i in (1, 2, 3))
+    dpsi = np.concatenate([[0.0], np.cross(u[1:4], psi[4:7]), np.cross(u[1:4], psi[1:4])])
+    return g @ U, dpsi
+
+
+def _oracle_step(g, psi, h, controls=None):
+    """One classical RK4 step; the control is psi[:4] (normal flow) or the
+    sampled (start, mid, mid, end) controls of an abnormal gauge."""
+    def f(stage, gm, p):
+        return _oracle_rhs(gm, p, p[:4] if controls is None else controls[stage])
+
+    k1g, k1p = f(0, g, psi)
+    k2g, k2p = f(1, g + 0.5 * h * k1g, psi + 0.5 * h * k1p)
+    k3g, k3p = f(2, g + 0.5 * h * k2g, psi + 0.5 * h * k2p)
+    k4g, k4p = f(3, g + h * k3g, psi + h * k3p)
+    return (g + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g),
+            psi + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
+
+
+def _relative_gap(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("regime", [REGIME_TIMELIKE, REGIME_ISOTROPIC])
+def test_normal_step_matches_numpy_oracle(regime):
+    rng = np.random.default_rng(909)
+    for _ in range(50):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        av = rng.normal(size=3)
+        av /= np.linalg.norm(av)
+        if regime == REGIME_TIMELIKE:
+            av *= rng.uniform(0.0, 3.0)
+        psi = np.concatenate([[math.sqrt(1.0 + av @ av) if regime == REGIME_TIMELIKE else 1.0],
+                              av, rng.normal(size=3)])
+        h = rng.uniform(1e-3, 0.2)
+        got_g, got_p = _normal_step(tuple(g.ravel().tolist()), psi[0], tuple(psi[1:].tolist()), h)
+        want_g, want_p = _oracle_step(g, psi, h)
+        assert _relative_gap(got_g, want_g.ravel()) <= 1e-15
+        assert _relative_gap(got_p, want_p[1:]) <= 1e-15
+        assert want_p[0] == psi[0]
+
+
+def test_gauge_step_matches_numpy_oracle():
+    rng = np.random.default_rng(910)
+    for _ in range(50):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        us = [tuple(rng.normal(size=4).tolist()) for _ in range(3)]
+        h = rng.uniform(1e-3, 0.2)
+        got = _gauge_step(tuple(g.ravel().tolist()), *us, h)
+        controls = [np.array(us[i]) for i in (0, 1, 1, 2)]
+        want, _ = _oracle_step(g, np.zeros(7), h, controls)
+        assert _relative_gap(got, want.ravel()) <= 1e-15
 
 
 class TestCausalClassify:
@@ -445,6 +582,22 @@ class TestAbnormal:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             abnormal_extremal([0.0, 1.0], [0.5, 0.5], (0, 0, 0), REGIME_TIMELIKE, 10)
+
+    @pytest.mark.parametrize(
+        "kappa_t, kappa_v, beta_dir, message",
+        [
+            ([0.0, math.nan], [0.5, 0.5], (0, 0, 1), "kappa times and values must be finite"),
+            ([0.0, math.inf], [0.5, 0.5], (0, 0, 1), "kappa times and values must be finite"),
+            ([0.0, 1.0], [math.nan, 0.5], (0, 0, 1), "kappa times and values must be finite"),
+            ([0.0, 1.0], [0.5, -math.inf], (0, 0, 1), "kappa times and values must be finite"),
+            ([0.0, 1.0], [0.5, 0.5], (math.inf, 0, 0), "beta_dir must be three finite numbers"),
+            ([0.0, 1.0], [0.5, 0.5], (0, math.nan, 1), "beta_dir must be three finite numbers"),
+        ],
+        ids=["time-nan", "time-inf", "value-nan", "value-inf", "beta-inf", "beta-nan"],
+    )
+    def test_non_finite_inputs_rejected(self, kappa_t, kappa_v, beta_dir, message):
+        with pytest.raises(ValueError, match=message):
+            abnormal_extremal(kappa_t, kappa_v, beta_dir, REGIME_TIMELIKE, 10)
 
 
 class TestNonstrictCheck:
