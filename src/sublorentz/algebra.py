@@ -252,6 +252,19 @@ def pauli(i: int) -> Mat2C:
     return Mat2C(_SIGMA[i].copy())
 
 
+_BASIS_BY_ENTRY = tuple(zip(*(basis_matrix(i).m.ravel().tolist() for i in range(8))))
+
+
+def coeff_entries(z0, z1, z2, z3, z4, z5, z6, z7) -> tuple[complex, ...]:
+    """Entries (a00, a01, a10, a11) of sum z_i e_i for complex z_i; inverse of `entry_coords`.
+
+    Adds every term of z0 e0 + z7 e7 + z1 e1 + ... + z6 e6 in that order, zero terms
+    included, so each entry part (signed zeros too) is that of the basis-matrix array sum.
+    """
+    return tuple([z0 * e0 + z7 * e7 + z1 * e1 + z2 * e2 + z3 * e3 + z4 * e4 + z5 * e5 + z6 * e6
+                  for e0, e1, e2, e3, e4, e5, e6, e7 in _BASIS_BY_ENTRY])
+
+
 def entry_coords(a00: complex, a01: complex, a10: complex, a11: complex) -> tuple[float, ...]:
     """Real coordinates (u0..u7) over {e_0..e_6, i*e_0} of [[a00, a01], [a10, a11]].
 
@@ -285,12 +298,7 @@ def from_coords(u) -> Mat2C:
     """Inverse of `to_coords`. Accepts AlgCoords or a sequence of 7/8 reals."""
     if not isinstance(u, AlgCoords):
         u = AlgCoords(np.asarray(u, dtype=float))
-    c = u.u
-    a00 = 0.5 * complex(c[0] + c[3], c[7] + c[6])
-    a11 = 0.5 * complex(c[0] - c[3], c[7] - c[6])
-    a01 = 0.5 * complex(c[1] - c[5], c[2] + c[4])
-    a10 = 0.5 * complex(c[1] + c[5], c[4] - c[2])
-    return Mat2C(np.array([[a00, a01], [a10, a11]]))
+    return Mat2C(np.reshape(coeff_entries(*u.u.tolist()), (2, 2)))
 
 
 def commutator(a: Mat2C, b: Mat2C) -> Mat2C:

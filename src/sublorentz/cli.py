@@ -226,8 +226,10 @@ def cmd_pontryagin(args, cfg: dict) -> int:
         raise ValueError("pontryagin needs --psi0 and a positive --step")
     if not (math.isfinite(args.T) and args.T > 0):
         raise ValueError(f"--T must be finite and positive, got {args.T}")
+    if not args.step <= args.T:
+        raise ValueError(f"--step must not exceed --T, got {args.step} > {args.T}")
     psi0 = _parse_floats(args.psi0, 7)
-    steps = max(1, round(args.T / args.step))
+    steps = round(args.T / args.step)
     path = pontryagin_integrate(psi0, _REGIMES[args.regime], args.T, steps,
                                 record_every=max(1, steps // 1000))
     _emit(_path_csv(path, cfg), args.out)

@@ -26,6 +26,7 @@ from sublorentz import (
     to_coords,
     vector_class,
 )
+from sublorentz.algebra import coeff_entries, entry_coords
 from sublorentz.validation import BRACKET_TABLE
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -195,6 +196,27 @@ class TestCoordinates:
         m = Mat2C(np.array(vals[:4]).reshape(2, 2) + 1j * np.array(vals[4:]).reshape(2, 2))
         back = from_coords(to_coords(m))
         assert back.distance(m) < 1e-14
+
+    def test_coeff_entries_is_the_pauli_array_sum(self):
+        # exp_closed and its series oracle (criterion 2) both build matrices
+        # through coeff_entries, so that comparison cannot catch a wrong map;
+        # this ties it to the literal basis matrices, signed zeros included.
+        rng = np.random.default_rng(2310)
+        parts = rng.normal(size=(50_000, 8, 2))
+        zero = rng.random(parts.shape) < 0.3
+        parts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        z = parts.view(complex)[..., 0]
+        want = z[:, 0, None, None] * basis_matrix(0).m
+        for i in (7, 1, 2, 3, 4, 5, 6):
+            want = want + z[:, i, None, None] * basis_matrix(i).m
+        got = np.array([coeff_entries(*row) for row in z.tolist()]).reshape(-1, 2, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_coeff_entries_inverts_entry_coords(self):
+        # Dyadic coordinates keep every sum exact, so the round trip is equality.
+        rng = np.random.default_rng(2311)
+        for u in (rng.integers(-2**20, 2**20, size=(2000, 8)) * 2.0**-10).tolist():
+            assert entry_coords(*coeff_entries(*u)) == tuple(u)
 
     def test_membership_predicates(self):
         assert AlgCoords.basis(0).in_H()

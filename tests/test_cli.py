@@ -296,6 +296,16 @@ class TestExtremal:
         big, unit = (PathSample.from_csv(io.StringIO(text)) for text in (out, ref))
         assert max(p.distance(q) for p, q in zip(big.points, unit.points)) <= 1e-15
 
+    def test_abnormal_huge_beta_dir(self, capsys):
+        # |beta_dir| overflows double precision; its direction is still (1, 1, 0)/sqrt(2).
+        argv = ["extremal", "abnormal", "--regime", "timelike", "--kappa", "0:2,1:2",
+                "--beta-dir"]
+        code, out, err = run(capsys, *argv, "1e308,1e308,0")
+        assert code == 0 and err == ""
+        _, ref, _ = run(capsys, *argv, "1,1,0")
+        big, unit = (PathSample.from_csv(io.StringIO(text)) for text in (out, ref))
+        assert all(p.m.tobytes() == q.m.tobytes() for p, q in zip(big.points, unit.points))
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -336,9 +346,13 @@ class TestExtremal:
              "beta_dir must be three finite numbers"),
             (["abnormal", "--regime", "timelike", "--kappa", "0:0,inf:1"],
              "kappa times and values must be finite"),
+        ] + [
+            (["pontryagin", "--psi0", "1,0,0,0,0,0,0", "--regime", "timelike", "--T", "1",
+              "--step", step], "--step must not exceed --T") for step in ("10", "inf")
         ],
         ids=["overflow-psi0", "nan-psi0", "diverged", "pontryagin-diverged", "T-zero", "T-negative",
-             "T-nan", "kappa-value-nan", "beta-dir-inf", "kappa-time-inf"],
+             "T-nan", "kappa-value-nan", "beta-dir-inf", "kappa-time-inf", "step-above-T",
+             "step-inf"],
     )
     def test_non_finite_exit_code(self, capsys, argv, message):
         code, out, err = run(capsys, "extremal", *argv)

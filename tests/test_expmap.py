@@ -256,6 +256,42 @@ class TestRotationHelpers:
             "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0")),
     ]
 
+    # ProductExpParams(alpha).point(t) for t = 0, 0.9, 2.5.
+    POINT_BITS = [
+        ((1.25, 0.3, -0.4, 0.5, 0.2, 0.7, -0.1), (  # generic
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+             "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+            ("0x1.0efc649fb0d92p+1", "-0x1.327a6fb35b96cp-9", "0x1.5a1c42952de29p-2",
+             "-0x1.80089e869e00fp-2", "0x1.41a065a850161p-2", "0x1.68fab65f7144bp-2",
+             "0x1.914989a164a78p+0", "0x1.36f55ca3f3facp-9"),
+            ("0x1.9fa2a5cd5b7a6p+2", "0x1.420dbe2d7ac9ap-3", "0x1.a4c70a97b339fp+1",
+             "-0x1.05a4147b21665p+2", "0x1.0ff8b3525cdabp+1", "0x1.5b22f76ed9d7cp+1",
+             "0x1.92351f229dd38p+2", "-0x1.def5a67320535p-4"))),
+        ((1.1, 0.6, -0.2, 0.3, 0.0, 0.0, 0.0), (  # beta = 0
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+             "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+            ("0x1.f29d2a8b15713p+0", "0x0.0p+0", "0x1.cd1a63c8a7419p-2", "-0x1.3366ed306f811p-3",
+             "0x1.cd1a63c8a7419p-2", "0x1.3366ed306f811p-3", "0x1.7f569198eba0dp+0", "0x0.0p+0"),
+            ("0x1.cfdf8453ad9c3p+2", "0x0.0p+0", "0x1.ae06a420a69bcp+1", "-0x1.1eaf1815c467ep+0",
+             "0x1.ae06a420a69bcp+1", "0x1.1eaf1815c467ep+0", "0x1.f1b86486b49cap+1", "0x0.0p+0"))),
+        ((1.0, 0.6, 0.0, -0.8, 1.2, 0.0, -1.6), (  # beta = 2 alpha
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+             "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+            ("0x1.255da7aac1826p+0", "-0x1.2000000000000p-53", "0x1.c063dc01121c2p-2",
+             "0x1.e000000000000p-54", "0x1.c063dc01121c2p-2", "0x1.e000000000000p-54",
+             "0x1.2825728066ca9p+1", "0x1.2000000000000p-53"),
+            ("0x1.0f22cbd4726b2p+1", "-0x1.0000000000000p-51", "0x1.ad68637d57414p+1",
+             "0x0.0p+0", "0x1.ad68637d57414p+1", "0x0.0p+0", "0x1.620e4a9e01710p+3",
+             "-0x1.0000000000000p-51"))),
+        ((0.5, 0.0, -0.0, 0.0, 0.3, -1.1, 0.4), (  # alpha_vec = 0
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+             "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+            ("0x1.409838b614fa8p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+             "0x0.0p+0", "0x0.0p+0", "0x1.409838b614fa8p+0", "0x0.0p+0"),
+            ("0x1.de455df80e3c0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+             "0x0.0p+0", "0x0.0p+0", "0x1.de455df80e3c0p+0", "0x0.0p+0"))),
+    ]
+
     @staticmethod
     def hex_entries(m: Mat2C) -> tuple:
         return tuple(x.hex() for z in m.m.ravel().tolist() for x in (z.real, z.imag))
@@ -263,6 +299,11 @@ class TestRotationHelpers:
     @pytest.mark.parametrize("c, bits", SU2_BITS)
     def test_su2_exp_bits_pinned(self, c, bits):
         assert self.hex_entries(su2_exp(list(c))) == bits
+
+    @pytest.mark.parametrize("alpha, bits", POINT_BITS)
+    def test_product_point_bits_pinned(self, alpha, bits):
+        p = ProductExpParams(np.array(alpha))
+        assert tuple(self.hex_entries(p.point(t)) for t in (0.0, 0.9, 2.5)) == bits
 
     def test_aligning_rotation_bits_pinned(self):
         s, _ = aligning_rotation([0.0, 1.0, 0.0])  # axis (0, 0, -1): zero components

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -582,6 +583,28 @@ class TestAbnormal:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             abnormal_extremal([0.0, 1.0], [0.5, 0.5], (0, 0, 0), REGIME_TIMELIKE, 10)
+
+    @pytest.mark.parametrize(
+        "beta_dir, unit",
+        [
+            ((1e308, 1e308, 0.0), (1.0, 1.0, 0.0)),
+            ((1e-170, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            ((0.3 * 2.0**1000, -1.2 * 2.0**1000, 2.2 * 2.0**1000), (0.3, -1.2, 2.2)),
+            ((0.3 * 2.0**-1000, -1.2 * 2.0**-1000, 2.2 * 2.0**-1000), (0.3, -1.2, 2.2)),
+        ],
+        ids=["big", "tiny", "power-of-two-big", "power-of-two-tiny"],
+    )
+    def test_beta_dir_scale_free(self, beta_dir, unit):
+        # Only the direction of beta_dir matters: the path's bits do not move
+        # with its scale, and no norm overflows or underflows on the way.
+        def run(b):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                path = abnormal_extremal([0.0, 1.0], [2.0, 2.0], b, REGIME_TIMELIKE, 10)
+            return (b"".join(p.m.tobytes() for p in path.points),
+                    b"".join(c.u.tobytes() for c in path.controls))
+
+        assert run(beta_dir) == run(unit)
 
     @pytest.mark.parametrize(
         "kappa_t, kappa_v, beta_dir, message",
