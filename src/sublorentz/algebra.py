@@ -44,19 +44,30 @@ class NotInGLPlusError(ValueError):
     """Determinant is not a positive real number."""
 
 
-def _frozen_array(value, dtype, shape: tuple, what: str) -> np.ndarray:
+def _frozen_array(value, dtype, shape: tuple, what: str, batch: bool = False) -> np.ndarray:
     """Read-only copy of `value` as a finite `dtype` array of the given shape.
 
     The validation shared by every array-carrying boundary type; `what` names
-    the field in the error message.
+    the field in the error message.  With `batch`, `value` is a stack of such
+    arrays along a leading axis of any length, checked with the same messages.
     """
     a = np.array(value, dtype=dtype, order="C")
-    if a.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {a.shape}")
+    got = a.shape[1:] if batch else a.shape
+    if got != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {got}")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} entries must be finite")
     a.setflags(write=False)
     return a
+
+
+def _frozen_rows(cls, field: str, batch: np.ndarray) -> tuple:
+    """One `cls` per row of a batch checked by `_frozen_array`, its `field` a read-only
+    view of the row: no per-row copy or check, and the view cannot be made writeable."""
+    rows = tuple(object.__new__(cls) for _ in range(len(batch)))
+    for obj, row in zip(rows, batch):
+        object.__setattr__(obj, field, row)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +78,11 @@ class Mat2C:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _frozen_array(self.m, complex, (2, 2), "matrix"))
+
+    @classmethod
+    def rows(cls, ms) -> tuple["Mat2C", ...]:
+        """One Mat2C per row of an (N, 2, 2) batch, validated once as a whole."""
+        return _frozen_rows(cls, "m", _frozen_array(ms, complex, (2, 2), "matrix", batch=True))
 
     @classmethod
     def identity(cls) -> "Mat2C":
@@ -185,6 +201,11 @@ class AlgCoords:
         if u.shape == (7,):
             u = np.concatenate([u, [0.0]])
         object.__setattr__(self, "u", _frozen_array(u, float, (8,), "coordinates"))
+
+    @classmethod
+    def rows(cls, us) -> tuple["AlgCoords", ...]:
+        """One AlgCoords per row of an (N, 8) batch, validated once as a whole."""
+        return _frozen_rows(cls, "u", _frozen_array(us, float, (8,), "coordinates", batch=True))
 
     @classmethod
     def zero(cls) -> "AlgCoords":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -212,23 +212,29 @@ def su2_exp(c) -> Mat2C:
     return Mat2C(np.array([[m00, m01], [m10, m11]]))
 
 
-def axis_angle_rotation(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
+def axis_angle_rotation(axis, angle) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit axis; one per angle for an array of angles.
+
+    sin and cos are `math` calls per angle: each matrix has the bits of its scalar call.
+    """
     n = np.asarray(axis, dtype=float)
     n = n / np.linalg.norm(n)
     K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
-    return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
+    angles = np.asarray(angle, dtype=float)[..., None, None]
+    sin, cos = (np.frompyfunc(f, 1, 1)(angles).astype(float) for f in (math.sin, math.cos))
+    return np.eye(3) + sin * K + (1 - cos) * (K @ K)
 
 
-def precess(alpha: np.ndarray, beta: np.ndarray, t: float) -> np.ndarray:
-    """alpha rotated about beta by the angle t |beta| (a copy of alpha when beta = 0).
+def precess(alpha: np.ndarray, beta: np.ndarray, ts) -> np.ndarray:
+    """alpha rotated about beta by the angle t |beta|, one row per t in ts (alpha when beta = 0).
 
-    The H0 part of the control along gamma(t) = exp(t(a+b)) exp(-tb).
+    Row t is the H0 part of the control along gamma(t) = exp(t(a+b)) exp(-tb).
     """
     nb = float(np.linalg.norm(beta))
     if nb == 0.0:
-        return alpha.copy()
-    return axis_angle_rotation(beta / nb, t * nb) @ alpha
+        return np.tile(alpha, (len(ts), 1))
+    angles = [t * nb for t in np.asarray(ts, dtype=float).tolist()]
+    return axis_angle_rotation(beta / nb, angles) @ alpha
 
 
 def su2_from_axis_angle(axis, angle: float) -> Mat2C:
@@ -276,27 +282,20 @@ class ProductExpParams:
       m1 = cosh(w1 t),  n1 = sinh(w1 t)/w1,  m2 = cos(w2 t),  n2 = sin(w2 t)/w2
 
     (n1, n2 take the value t at w = 0).  The coefficient formulas below are a
-    matrix identity over complex scalars; the assembled matrix is exact.
+    matrix identity over complex scalars; the assembled matrix is exact.  w1
+    and w2 depend on alpha alone and are evaluated once, on construction.
     """
 
     alpha: np.ndarray
+    w1: complex = field(init=False, repr=False)
+    w2: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _frozen_array(self.alpha, float, (7,), "constants"))
-
-    @property
-    def w1(self) -> complex:
-        a = self.alpha
-        return 0.5 * cmath.sqrt(
-            complex(
-                (a[1] + 1j * a[4]) ** 2 + (a[2] + 1j * a[5]) ** 2 + (a[3] + 1j * a[6]) ** 2
-            )
-        )
-
-    @property
-    def w2(self) -> float:
-        a = self.alpha
-        return 0.5 * math.sqrt(a[4] ** 2 + a[5] ** 2 + a[6] ** 2)
+        a = _frozen_array(self.alpha, float, (7,), "constants")
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "w1", 0.5 * cmath.sqrt(complex(
+            (a[1] + 1j * a[4]) ** 2 + (a[2] + 1j * a[5]) ** 2 + (a[3] + 1j * a[6]) ** 2)))
+        object.__setattr__(self, "w2", 0.5 * math.sqrt(a[4] ** 2 + a[5] ** 2 + a[6] ** 2))
 
     def coefficients(self, t: float) -> tuple[complex, ...]:
         """Complex coefficients (c0..c6, c7) of g(t) over {e_0..e_6, i e_0}."""
@@ -318,16 +317,30 @@ class ProductExpParams:
 
     def control(self, t: float) -> AlgCoords:
         """The control g^-1 g'(t) = Ad(exp(t b)) a = (a0, precess(a_vec, b_vec, t), 0)."""
-        a = self.alpha
-        return AlgCoords(np.concatenate([[a[0]], precess(a[1:4], a[4:7], t), np.zeros(4)]))
+        return AlgCoords(self.control_rows([t])[0])
 
-    def sample(self, ts) -> tuple[tuple, tuple]:
-        """(points, controls) of the curve at each time in ts."""
-        ts = [float(t) for t in ts]
-        return tuple(self.point(t) for t in ts), tuple(self.control(t) for t in ts)
+    def control_rows(self, ts) -> np.ndarray:
+        """(N, 8) array whose row j holds the coordinates of `control(ts[j])`."""
+        a, n = self.alpha, len(ts)
+        return np.column_stack([np.full(n, a[0]), precess(a[1:4], a[4:7], ts), np.zeros((n, 4))])
 
     def point(self, t: float) -> Mat2C:
         return Mat2C(np.reshape(coeff_entries(*self.coefficients(t)), (2, 2)))
+
+    def point_rows(self, ts) -> np.ndarray:
+        """(N, 2, 2) array whose row j holds the entries of `point(ts[j])`, bit for bit."""
+        rows = []
+        try:
+            rows.extend(coeff_entries(*self.coefficients(t)) for t in np.asarray(ts, float).tolist())
+        except (ArithmeticError, ValueError):  # as with `point`, an earlier non-finite row fails first
+            Mat2C.rows(np.reshape(rows, (-1, 2, 2)))
+            raise
+        return np.reshape(rows, (-1, 2, 2))
+
+    def sample(self, ts) -> tuple[tuple, tuple]:
+        """(points, controls) of the curve at each time in ts, each one validated batch."""
+        ts = np.asarray(ts, dtype=float)
+        return Mat2C.rows(self.point_rows(ts)), AlgCoords.rows(self.control_rows(ts))
 
     def point_two_factor(self, t: float) -> Mat2C:
         """Same curve evaluated as an explicit product of the two exponentials."""

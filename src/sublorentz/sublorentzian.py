@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgCoords, Mat2C, _frozen_array, coeff_entries, format_float, to_coords
+from .algebra import (
+    AlgCoords, Mat2C, _frozen_array, _frozen_rows, coeff_entries, format_float, to_coords)
 from .expmap import (
     ProductExpParams,
     aligning_rotation,
@@ -40,6 +41,10 @@ from .subriemannian import DistanceBracket, distance_shoot
 
 REGIME_TIMELIKE = "timelike-normal"
 REGIME_ISOTROPIC = "isotropic-normal"
+
+# Signs taking coordinates over e0, e1, e2, e3 to those over the dual basis
+# e0, -e1, -e2, -e3 of controls and covectors, and back.
+_DUAL_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 class IntegrationDivergedError(RuntimeError):
     """Integration produced a non-finite state; carries the divergence time."""
@@ -143,10 +148,15 @@ class CovectorState:
     psi: np.ndarray
 
     def __post_init__(self):
-        p = _frozen_array(self.psi, float, (7,), "covector")
-        if float(np.max(np.abs(p))) == 0.0:
+        object.__setattr__(self, "psi", self.rows([self.psi])[0].psi)  # a batch of one
+
+    @classmethod
+    def rows(cls, psis) -> tuple["CovectorState", ...]:
+        """One CovectorState per row of an (N, 7) batch, validated once as a whole."""
+        p = _frozen_array(psis, float, (7,), "covector", batch=True)
+        if (np.abs(p).max(axis=1) == 0.0).any():
             raise ValueError("covector must never vanish along an extremal")
-        object.__setattr__(self, "psi", p)
+        return _frozen_rows(cls, "psi", p)
 
 
 def _adjoint_rhs(p1, p2, p3, p4, p5, p6, u1, u2, u3) -> tuple:
@@ -256,15 +266,12 @@ def _finite(values) -> bool:
     return all(map(cmath.isfinite, values))
 
 
-def _point(g) -> Mat2C:
-    g00, g01, g10, g11 = g
-    return Mat2C([[g00, g01], [g10, g11]])
-
-
-def _control_coords(u_dual) -> AlgCoords:
-    """Coordinates of the control u0 e0 - u1 e1 - u2 e2 - u3 e3."""
-    u0, u1, u2, u3 = u_dual
-    return AlgCoords([u0, -u1, -u2, -u3, 0.0, 0.0, 0.0, 0.0])
+def _recorded_path(times, points, u_dual, covectors) -> PathSample:
+    """PathSample of integrator records, one validated batch each: point entries
+    (g00, g01, g10, g11) and dual controls (u0..u3) of u0 e0 - u1 e1 - u2 e2 - u3 e3."""
+    u = np.pad(np.asarray(u_dual, dtype=float) * _DUAL_SIGNS, ((0, 0), (0, 4)))
+    points = Mat2C.rows(np.reshape(points, (-1, 2, 2)))
+    return PathSample(np.array(times), points, AlgCoords.rows(u), covectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,40 +332,23 @@ class PathSample:
 
     @classmethod
     def from_csv(cls, stream) -> "PathSample":
-        """Re-read a sample written by `to_csv`; comment lines and extra columns are ignored."""
-        rows = [
-            line for line in stream if line.strip() and not line.lstrip().startswith("#")
-        ]
-        reader = csv.reader(rows)
+        """Re-read a sample written by `to_csv`; comment lines and extra columns are ignored.
+
+        Points, controls and covectors are each read as one batch; controls or
+        covectors with a blank cell in some row are absent.
+        """
+        lines = [line for line in stream if line.strip() and not line.lstrip().startswith("#")]
+        reader = csv.reader(lines)
         header = next(reader)
-        idx = {name: header.index(name) for name in cls.CSV_COLUMNS}
-        times, points, controls, covectors = [], [], [], []
-        have_u = have_psi = True
-        for row in reader:
-            times.append(float(row[idx["t"]]))
-            m = np.empty((2, 2), dtype=complex)
-            for r in range(2):
-                for c in range(2):
-                    m[r, c] = complex(
-                        float(row[idx[f"g{r + 1}{c + 1}_re"]]),
-                        float(row[idx[f"g{r + 1}{c + 1}_im"]]),
-                    )
-            points.append(Mat2C(m))
-            u_cells = [row[idx[f"u{i}"]] for i in range(7)]
-            if all(c != "" for c in u_cells):
-                controls.append(AlgCoords(np.array([float(c) for c in u_cells] + [0.0])))
-            else:
-                have_u = False
-            psi_cells = [row[idx[f"psi{i}"]] for i in range(7)]
-            if all(c != "" for c in psi_cells):
-                covectors.append(CovectorState(np.array([float(c) for c in psi_cells])))
-            else:
-                have_psi = False
+        idx = [header.index(name) for name in cls.CSV_COLUMNS]
+        cells = np.array([[row[i] for i in idx] for row in reader], object).reshape(-1, len(idx))
+        t, g, u, psi = np.split(cells, [1, 9, 16], axis=1)
+        u, psi = (x.astype(float) if len(cells) and (x != "").all() else None for x in (u, psi))
         return cls(
-            np.array(times),
-            tuple(points),
-            tuple(controls) if have_u and controls else None,
-            tuple(covectors) if have_psi and covectors else None,
+            t[:, 0].astype(float),
+            Mat2C.rows(g.astype(float).view(complex).reshape(-1, 2, 2)),
+            None if u is None else AlgCoords.rows(np.pad(u, ((0, 0), (0, 1)))),
+            None if psi is None else CovectorState.rows(psi),
         )
 
     def to_csv_text(self, extra_columns: dict | None = None, header_lines=None) -> str:
@@ -409,22 +399,17 @@ def pontryagin_integrate(
     h = T / steps
     p0, *p = psi.tolist()
     g = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    times, points, controls, covectors = [], [], [], []
-
-    def record(j, g, p):
-        times.append(j * h)
-        points.append(_point(g))
-        controls.append(_control_coords((p0, *p[:3])))
-        covectors.append(CovectorState(np.array([p0, *p])))
-
-    record(0, g, p)
+    times, points, covectors = [0.0], [g], [(p0, *p)]
     for j in range(steps):
         g, p = _normal_step(g, p0, p, h)
         if (j + 1) % record_every == 0 or j == steps - 1:
             if not (_finite(g) and _finite(p)):
                 raise IntegrationDivergedError((j + 1) * h)
-            record(j + 1, g, p)
-    return PathSample(np.array(times), tuple(points), tuple(controls), tuple(covectors))
+            times.append((j + 1) * h)
+            points.append(g)
+            covectors.append((p0, *p))
+    psi = np.array(covectors)
+    return _recorded_path(times, points, psi[:, :4], CovectorState.rows(psi))
 
 
 def extremal_path(p: ExtremalParams, ts) -> PathSample:
@@ -433,11 +418,12 @@ def extremal_path(p: ExtremalParams, ts) -> PathSample:
     The control is `ProductExpParams.control`; the covector is
     (u0, -u_123, -beta_vec).
     """
-    bv = p.alpha[4:7]
+    pp = p.product_params()
     times = np.asarray(ts, dtype=float)
-    points, controls = p.product_params().sample(times)
-    covectors = tuple(CovectorState(np.concatenate([u.u[:1], -u.u[1:4], -bv])) for u in controls)
-    return PathSample(times, points, controls, covectors)
+    points = Mat2C.rows(pp.point_rows(times))
+    u = pp.control_rows(times)
+    psi = np.column_stack([u[:, :4] * _DUAL_SIGNS, np.tile(-p.alpha[4:7], (len(u), 1))])
+    return PathSample(times, points, AlgCoords.rows(u), CovectorState.rows(psi))
 
 
 # -- SU(2) action -------------------------------------------------------------
@@ -597,13 +583,9 @@ def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) 
     report = causal_classify(g, tol=tol, seed=seed)
     if report.causal_class in (CLASS_UNREACHABLE, CLASS_INDETERMINATE):
         raise UnreachableTargetError(report)
-    if report.causal_class == CLASS_IDENTITY:
-        return PathSample(
-            np.array([0.0]),
-            (Mat2C.identity(),),
-            (AlgCoords(np.concatenate([[1.0], np.zeros(7)])),),
-            None,
-        )
+    if report.causal_class == CLASS_IDENTITY:  # the point e, reached with the control e0
+        points, controls = ProductExpParams(np.concatenate([[1.0], np.zeros(6)])).sample([0.0])
+        return PathSample(np.array([0.0]), points, controls, None)
     xi = report.xi
     witness = report.eta.witness
     # No witness means the scalar ray (eta = 0, sinh c = 0): gamma drops out.
@@ -701,7 +683,9 @@ def abnormal_extremal(
     covector = CovectorState(np.concatenate([np.zeros(4), -bv]))
 
     g = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    times, points, controls = [0.0], [_point(g)], [_control_coords(u_dual(k_start[0]))]
+    # Every step is recorded, so each state goes straight into its row of the batch.
+    points, controls = np.empty((steps + 1, 4), complex), np.empty((steps + 1, 4))
+    points[0], controls[0] = g, u_dual(k_start[0])
     # u_123 is parallel to b by construction, so the drift |u_123 x b_hat| is
     # only rounding on a product of size |u_123|: it is measured on that scale.
     for j in range(steps):
@@ -714,10 +698,8 @@ def abnormal_extremal(
         if not drift <= 1e-9:  # NaN fails too
             raise RuntimeError(
                 f"abnormal covector is not stationary: drift {drift:.3e} max(1, |u_123|)")
-        times.append((j + 1) * h)
-        points.append(_point(g))
-        controls.append(_control_coords(u4))
-    return PathSample(np.array(times), tuple(points), tuple(controls), (covector,) * len(times))
+        points[j + 1], controls[j + 1] = g, u4
+    return _recorded_path(np.arange(steps + 1) * h, points, controls, (covector,) * (steps + 1))
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,62 @@ def test_frozen_array_fields(field):
     assert not np.shares_memory(stored, source)
 
 
+# Each batch-row constructor: (the single constructor, its stored field, a valid row).
+BATCH_ROWS = {
+    "Mat2C": (Mat2C, "m", np.array([[1.0, 2j], [0.5, -1.0]])),
+    "AlgCoords": (AlgCoords, "u", np.arange(8.0)),
+    "CovectorState": (CovectorState, "psi", np.arange(7.0)),
+}
+
+
+def _error_text(build, value):
+    with pytest.raises(ValueError) as info:
+        build(value)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind", BATCH_ROWS)
+def test_batch_rows_are_read_only_views(kind):
+    cls, field, good = BATCH_ROWS[kind]
+    source = np.stack([good, 2 * good, -good])
+    rows = cls.rows(source)
+    assert [type(r) for r in rows] == [cls] * 3
+    stored = [getattr(r, field) for r in rows]
+    for got, single in zip(stored, (cls(x) for x in source)):
+        assert got.tobytes() == getattr(single, field).tobytes()
+        assert got.dtype == getattr(single, field).dtype and got.flags.c_contiguous
+    assert all(np.shares_memory(x, stored[0].base) for x in stored)
+    assert not np.shares_memory(stored[0], source)
+    with pytest.raises(ValueError):
+        stored[1][(0,) * good.ndim] = 7.0
+    with pytest.raises(ValueError):
+        stored[1].setflags(write=True)
+    assert cls.rows(np.zeros((0, *good.shape))) == ()
+
+
+@pytest.mark.parametrize("kind", BATCH_ROWS)
+def test_batch_rows_reject_like_the_single_constructor(kind):
+    cls, _, good = BATCH_ROWS[kind]
+    bad_rows = [np.append(good, good.flat[-1]), good.ravel()[:1]]
+    for value in [np.nan, np.inf] + ([complex(0.0, np.inf)] if good.dtype.kind == "c" else []):
+        bad = good.copy()
+        bad.flat[-1] = value
+        bad_rows.append(bad)
+    for bad in bad_rows:
+        batch = [good, bad] if bad.shape == good.shape else [bad, bad]
+        assert _error_text(cls.rows, batch) == _error_text(cls, bad)
+    assert "shape" in _error_text(cls.rows, good)  # one row is not a batch
+
+
+def test_batch_covector_rules_in_single_constructor_order():
+    good, zero, nan_row = np.arange(7.0), np.zeros(7), np.array([np.nan] + [0.0] * 6)
+    assert _error_text(CovectorState.rows, [good, zero]) == _error_text(CovectorState, zero)
+    assert "never vanish" in _error_text(CovectorState.rows, [good, zero])
+    # finiteness is checked before the vanishing rule, on every row
+    assert _error_text(CovectorState.rows, [zero, nan_row]) == _error_text(CovectorState, nan_row)
+    assert "finite" in _error_text(CovectorState.rows, [zero, nan_row])
+
+
 class TestMat2C:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

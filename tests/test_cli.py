@@ -133,6 +133,13 @@ class TestGeodesic:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("kind", ["timelike", "isotropic"])
+    def test_overflow_exit_code_normal_kinds(self, capsys, recwarn, kind):
+        code, out, err = run(capsys, "geodesic", "--kind", kind, "--alpha", "1,0,0", "--t-max", "1e308")
+        assert code == 2
+        assert out == "" and err == "error: math range error\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize(
         "argv",
         [

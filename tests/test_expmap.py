@@ -22,7 +22,7 @@ from sublorentz import (
     su2_exp,
     to_coords,
 )
-from sublorentz.expmap import aligning_rotation, axis_angle_rotation, sinc_scaled, sinch
+from sublorentz.expmap import SMALL_W, aligning_rotation, axis_angle_rotation, sinc_scaled, sinch
 
 
 def vec(*reals):
@@ -357,6 +357,53 @@ class TestProductExpParams:
         q = ProductExpParams(np.array([0.0, 1.0, 0, 0, 0, 1.0, 0]))  # w1 = 0
         assert abs(q.w1) == 0.0
         assert sinch(q.w1, 0.9) == 0.9
+
+    @staticmethod
+    def _unit(rng):
+        v = rng.normal(size=3)
+        return v / np.linalg.norm(v)
+
+    @pytest.mark.parametrize("case", ["generic", "beta-zero", "w1-small", "w2-small", "one-time", "no-time"])
+    def test_sample_rows_are_point_and_control_bits(self, case):
+        rng = np.random.default_rng([73, len(case)])
+        alpha = rng.uniform(-2, 2, 7)
+        alpha[rng.random(7) < 0.3] = -0.0
+        ts = np.concatenate([[0.0, -0.0], rng.uniform(-3, 3, 9)])
+        if case == "beta-zero":
+            alpha[4:7] = 0.0
+        elif case == "w1-small":  # unit alpha_vec orthogonal to a unit beta_vec
+            a, b = self._unit(rng), rng.normal(size=3)
+            b -= b.dot(a) * a
+            alpha[1:4], alpha[4:7] = a, b / np.linalg.norm(b)
+        elif case == "w2-small":
+            alpha[4:7] = 1e-9 * self._unit(rng)
+        elif case == "one-time":
+            ts = ts[-1:]
+        elif case == "no-time":
+            ts = ts[:0]
+        p = ProductExpParams(alpha)
+        assert case != "w1-small" or abs(p.w1) < SMALL_W
+        assert case != "w2-small" or abs(p.w2) < SMALL_W
+        points, controls = p.sample(ts)
+        assert len(points) == len(controls) == len(ts)
+        b_vec = alpha[4:7]
+        nb = float(np.linalg.norm(b_vec))
+        for t, point, control in zip(ts.tolist(), points, controls):
+            assert point.m.tobytes() == p.point(t).m.tobytes()
+            assert control.u.tobytes() == p.control(t).u.tobytes()
+            # one scalar-angle Rodrigues product per time
+            a_vec = alpha[1:4] if nb == 0.0 else axis_angle_rotation(b_vec / nb, t * nb) @ alpha[1:4]
+            assert control.u.tobytes() == np.concatenate([alpha[:1], a_vec, np.zeros(4)]).tobytes()
+
+    def test_sample_reports_the_first_bad_time_first(self):
+        # w1 = nan + inf i and w2 = inf: point(0) is non-finite without raising,
+        # while point(5e9) raises in math.cos(inf); the per-time order decides.
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = ProductExpParams([math.sqrt(2.0), 1.0, 0.0, 0.0, 1e300, 0.0, 0.0])
+        with pytest.raises(ValueError, match="math domain error"):
+            p.sample([5e9])
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            p.sample([0.0, 5e9])
 
 
 def test_real_coefficients_give_hermitian_matrix():

@@ -1,5 +1,6 @@
 """Normal/abnormal extremals, the minimum-principle integrator, causal structure."""
 
+import hashlib
 import io
 import math
 import warnings
@@ -259,6 +260,60 @@ def _path_bytes(path):
     )
 
 
+def _path_runs():
+    p = ExtremalParams.timelike([0.4, -0.2, 0.6], [0.5, 0.1, -0.7])
+    q = ExtremalParams.isotropic([0.6, 0.8, 0.0], [-0.3, 0.2, 0.9])
+    return {
+        **_GOLDEN_RUNS,
+        "extremal-timelike": lambda: extremal_path(p, np.linspace(0.0, 2.0, 101)),
+        "extremal-isotropic": lambda: extremal_path(q, np.linspace(0.0, 2.0, 101)),
+        "longest-arc-boost": lambda: longest_arc(boost_target(1.5, 0.8, (1.0, -2.0, 0.5))),
+    }
+
+
+# sha256 of the bytes of every recorded time, point, control and covector
+# (None where a path has none), taken while each state was still built and
+# validated as its own object, so they pin the batched records to that code.
+_PATH_SHA256 = {
+    "timelike": (
+        "d1570a98f78ef43df7954b2216321a095a76f4c9bede3ca9e0cc76a82c18cc56",
+        "10e16e0b1dd7dac6080b4b8d22661c39520961b5e59622704d2cc20d16d48a6a",
+        "b6f9e4b28367f610256556d76b2b5764a3abfe01d723a4324b88cd961b6788b3",
+        "fdb45f46d3dec3a5172305c9d3f71055eeeb0a579e2133ce95945db1e0a18b08",
+    ),
+    "isotropic": (
+        "d1570a98f78ef43df7954b2216321a095a76f4c9bede3ca9e0cc76a82c18cc56",
+        "e30c821fd582efbd523f16c06270631c64f5b2cffa778bf2311a36180defdc71",
+        "d5c6ef374a59610d8915e7667b52dc7847d3bb0bfd2b9100cb0a57882dd0f996",
+        "27a13415b8484093759ec916696073ac95eb7241595b7f04451468c7d1ca77c1",
+    ),
+    "abnormal": (
+        "be069d7d0c6719743ada6aed42916e2798ddc937afaa56bd63d766dcca764331",
+        "79cb3732872222728759423b54ad5c21c3724869b83930de52041fbf6465aef1",
+        "9543a122619790aa625fcb84777ca5c31c67dcefee1167209673525f51417616",
+        "ff1451d34c4914eb167d780085537224f26a42084f71dd89a28ccbc7fbc8be06",
+    ),
+    "extremal-timelike": (
+        "45a310e5517dd15c97912aadddef95b61a8cce44c8cf759919e712b03b775c0c",
+        "06d976de39c737efb05c016e3b5ec437470cd000eafc610eb16e7b553bc79256",
+        "7c0eb21ee0a58b122c145e97c24fa8dd8cc27f9215e4563793df6daa2d005279",
+        "3bd4724a744d267e41484daf014135eb7e82ad8dea6962ff62cc5556ee449c87",
+    ),
+    "extremal-isotropic": (
+        "45a310e5517dd15c97912aadddef95b61a8cce44c8cf759919e712b03b775c0c",
+        "3c8bee84f8009c1ea34c16321f907fe717d72a25e8b009d065a28d2287f7bf75",
+        "e63a2dd1115eb036ff129657b82aecaef4a8da0365a51209fff4fc663c32895a",
+        "f1d823e35b89c406ea1e1346af373bb20af317134930dd6ed7c706e474b8936b",
+    ),
+    "longest-arc-boost": (
+        "35e4225ebc855937d565b2e394065e89c84e4e6fd0ebba4888a10638f90467ca",
+        "b2adce34eb00f97e59c0fc7c1c7eb47e62d645070b279421fa45def09f984cd1",
+        "ed26c4682796cf83503b8a01adf5133087c3cf61f70a6e495b6cc793422fca4b",
+        None,
+    ),
+}
+
+
 @pytest.mark.parametrize("name", list(_GOLDEN))
 def test_integrator_golden_bits(name):
     assert _final_hex(_GOLDEN_RUNS[name]()) == _GOLDEN[name]
@@ -268,6 +323,18 @@ def test_integrator_golden_bits(name):
 def test_integrator_reruns_are_byte_identical(name):
     run = _GOLDEN_RUNS[name]
     assert _path_bytes(run()) == _path_bytes(run())
+
+
+def _sha256(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(_PATH_SHA256))
+def test_whole_path_sha256_pinned(name):
+    path = _path_runs()[name]()
+    got = (_sha256([path.times]), _sha256(x.m for x in path.points), _sha256(x.u for x in path.controls),
+           None if path.covectors is None else _sha256(x.psi for x in path.covectors))
+    assert got == _PATH_SHA256[name]
 
 
 def _oracle_rhs(g, psi, u):
