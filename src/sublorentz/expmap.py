@@ -293,9 +293,14 @@ class ProductExpParams:
     def __post_init__(self):
         a = _frozen_array(self.alpha, float, (7,), "constants")
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "w1", 0.5 * cmath.sqrt(complex(
-            (a[1] + 1j * a[4]) ** 2 + (a[2] + 1j * a[5]) ** 2 + (a[3] + 1j * a[6]) ** 2)))
-        object.__setattr__(self, "w2", 0.5 * math.sqrt(a[4] ** 2 + a[5] ** 2 + a[6] ** 2))
+        # Huge constants overflow here to inf/nan, which the finiteness checks on
+        # the sampled matrices then reject; numpy's warning would only be noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w1 = 0.5 * cmath.sqrt(complex(
+                (a[1] + 1j * a[4]) ** 2 + (a[2] + 1j * a[5]) ** 2 + (a[3] + 1j * a[6]) ** 2))
+            w2 = 0.5 * math.sqrt(a[4] ** 2 + a[5] ** 2 + a[6] ** 2)
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "w2", w2)
 
     def coefficients(self, t: float) -> tuple[complex, ...]:
         """Complex coefficients (c0..c6, c7) of g(t) over {e_0..e_6, i e_0}."""

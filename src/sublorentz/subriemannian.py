@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# `minimize` is unused here, but bench/spans.py wraps it by name, so it stays importable.
-from scipy.optimize import least_squares, minimize, root
 
 from .algebra import AlgCoords, Mat2C, _frozen_array, entry_coords, from_coords
 from .expmap import (
@@ -34,6 +32,34 @@ from .expmap import (
 )
 
 _I2 = np.eye(2, dtype=complex)
+
+
+# The shooting solvers.  scipy.optimize takes longer to import than the rest
+# of the package together, and only the non-boost distance needs it, so it is
+# imported on the first solve.  `distance_shoot` and `_polish_candidate` call
+# these through the module globals, where a caller may replace them.
+def root(*args, **kwargs):
+    """`scipy.optimize.root`, imported on the call."""
+    from scipy.optimize import root as _root
+
+    return _root(*args, **kwargs)
+
+
+def least_squares(*args, **kwargs):
+    """`scipy.optimize.least_squares`, imported on the call."""
+    from scipy.optimize import least_squares as _least_squares
+
+    return _least_squares(*args, **kwargs)
+
+
+def __getattr__(name):
+    # `minimize` is unused here, but bench/spans.py wraps it by name, so the
+    # attribute still resolves (and only then imports scipy.optimize).
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,6 +296,12 @@ def distance_shoot(
     is the shortest candidate whose endpoint residual is below tol, whatever
     its length or |beta|; the lower end is the hyperbolic projection bound.
     tol must be finite and positive.  Deterministic for a fixed seed.
+
+    tol has two roles: it certifies a witness's endpoint residual, and
+    `converged` is set when the bracket is narrower than the same tol.  A
+    large tol therefore reports a wide bracket as converged: on the first
+    `mixed` target of `bench/workloads.py`'s `classify_corpus(sl, 1, 12)`,
+    tol=10 gives [0.784, 2.087] with converged true (tol=1e-7: false).
     """
     _require_unimodular(g1)
     if not 0.0 < tol < math.inf:

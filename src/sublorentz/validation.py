@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .algebra import (
     AlgCoords,
@@ -260,6 +259,8 @@ def _osn_boundary_margin(av, bv) -> float:
 @_criterion(7, "hermitian-classifier", 30.0)
 def criterion_7(res: CriterionResult) -> None:
     """Hermitian-endpoint classifier against the series-oracle defect, 1000 draws."""
+    from scipy.optimize import brentq  # the one criterion that needs scipy
+
     rng = np.random.default_rng(1707)
     draws = []
     for _ in range(500):  # generic draws, almost surely non-Hermitian

@@ -3,8 +3,6 @@
 import io
 import json
 import math
-import shlex
-from pathlib import Path
 
 import argparse
 
@@ -139,6 +137,14 @@ class TestGeodesic:
         assert code == 2
         assert out == "" and err == "error: math range error\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_constants_write_one_error_line(self, fresh_python):
+        # A new interpreter, so numpy's warnings reach stderr as they would in a shell.
+        proc = fresh_python("-m", "sublorentz.cli", "geodesic", "--kind", "timelike",
+                            "--alpha", "1,0,0", "--beta", "1e300,0,0", "--t-max", "1e10")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
     @pytest.mark.parametrize(
         "argv",
@@ -577,20 +583,10 @@ class TestOptions:
 
 
 class TestReadme:
-    def test_cli_block_runs(self, capsys, tmp_path, monkeypatch):
+    def test_cli_block_runs(self, capsys, tmp_path, monkeypatch, readme_cli):
         # Every command of the README's CLI example block, in order, exits 0.
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
-        commands = [
-            shlex.split(line)
-            for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("sublorentz ")
-        ]
-        assert len(commands) == 11
+        assert len(readme_cli) == 11
         monkeypatch.chdir(tmp_path)
-        boost = np.array([[math.cosh(0.4), math.sinh(0.4)], [math.sinh(0.4), math.cosh(0.4)]])
-        (tmp_path / "g1.json").write_text(json.dumps(Mat2C(boost).to_json()))
-        (tmp_path / "g.json").write_text(json.dumps(Mat2C(math.e * boost).to_json()))
-        for argv in commands:
-            code, _, err = run(capsys, *argv[1:])
+        for argv in readme_cli:
+            code, _, err = run(capsys, *argv)
             assert code == 0, (argv, err)

@@ -245,6 +245,24 @@ class TestDistanceShoot:
         assert abs(a.upper - 0.8000000000000003) <= 1e-12
         assert abs(a.witness.T - 0.8000000000000003) <= 1e-12
 
+    def test_solver_names_resolve(self):
+        # bench/spans.py wraps these module attributes by name.
+        for name in ("root", "least_squares", "minimize"):
+            assert callable(getattr(subriemannian, name)), name
+
+    def test_every_shooting_solve_goes_through_the_module_root(self, monkeypatch):
+        calls = []
+        solve = subriemannian.root
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(subriemannian, "root", counting_solve)
+        br = distance_shoot(su2_exp([0.3, 1.1, -0.6]))  # a rotation: never tight
+        assert not br.converged
+        assert len(calls) == 7 * (240 // 7)  # every start on all seven log branches
+
     def test_polish_refines_only_the_polar_seed(self, monkeypatch):
         # Small |beta|: the root solves leave the bracket loose, so the polish runs.
         calls = []
