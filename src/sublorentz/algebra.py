@@ -116,9 +116,6 @@ class Mat2C:
         # 2x2 closed form; exact enough and branch-free.
         return self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0]
 
-    def trace(self) -> complex:
-        return self.m[0, 0] + self.m[1, 1]
-
     def inverse(self) -> "Mat2C":
         d = self.det()
         if abs(d) < 1e-300:
@@ -135,30 +132,13 @@ class Mat2C:
         """Frobenius distance."""
         return float(np.linalg.norm(self.m - other.m))
 
-    def allclose(self, other: "Mat2C", tol: float = DEFAULT_TOL) -> bool:
-        return bool(np.max(np.abs(self.m - other.m)) <= tol)
-
     # -- membership predicates --------------------------------------------
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return bool(np.max(np.abs(self.m - self.m.conj().T)) <= tol)
 
-    def is_skew_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return bool(np.max(np.abs(self.m + self.m.conj().T)) <= tol)
-
-    def is_special(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.det() - 1.0) <= tol
-
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         return bool(np.max(np.abs(self.m @ self.m.conj().T - np.eye(2))) <= tol)
-
-    def is_positive_definite_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        tr = self.trace().real
-        d = self.det().real
-        # Both eigenvalues positive iff trace > 0 and det > 0.
-        return tr > tol and d > tol * tol
 
     # -- serialization -----------------------------------------------------
 
@@ -240,10 +220,6 @@ class AlgCoords:
         """Traceless Hermitian: in H and u0 = 0."""
         return self.in_H(tol) and abs(self.u[0]) <= tol
 
-    def in_su2(self, tol: float = DEFAULT_TOL) -> bool:
-        """Skew-Hermitian traceless: u0 = u1 = u2 = u3 = u7 = 0."""
-        return bool(np.max(np.abs(self.u[0:4])) <= tol) and abs(self.u[7]) <= tol
-
     def to_json(self) -> dict:
         return {"u": [float(x) for x in self.u]}
 
@@ -264,13 +240,6 @@ def basis_matrix(i: int) -> Mat2C:
     if i <= 6:
         return Mat2C(1j * _SIGMA[i - 3] / 2)
     return Mat2C(1j * _SIGMA[0] / 2)
-
-
-def pauli(i: int) -> Mat2C:
-    """sigma_i for i in 0..3."""
-    if not 0 <= i <= 3:
-        raise IndexError(f"Pauli index must be in 0..3, got {i}")
-    return Mat2C(_SIGMA[i].copy())
 
 
 _BASIS_BY_ENTRY = tuple(zip(*(basis_matrix(i).m.ravel().tolist() for i in range(8))))
@@ -335,13 +304,6 @@ class StructureTable:
 
     def __post_init__(self):
         object.__setattr__(self, "C", _frozen_array(self.C, float, (7, 7, 7), "structure table"))
-
-    def __getitem__(self, idx):
-        return self.C[idx]
-
-    def bracket_coords(self, i: int, j: int) -> np.ndarray:
-        """Coordinates of [e_i, e_j] over e_0..e_6."""
-        return self.C[i, j].copy()
 
     def max_antisymmetry_residual(self) -> float:
         return float(np.max(np.abs(self.C + self.C.transpose(1, 0, 2))))

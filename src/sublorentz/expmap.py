@@ -150,10 +150,6 @@ class PolarDecomposition:
     boost: AlgCoords
     rotation: Mat2C
 
-    def reconstruct(self) -> Mat2C:
-        vec = ComplexAlgVec.from_reals(self.boost.u[:4])
-        return Mat2C(math.exp(self.xi / 2.0) * (exp_closed(vec, 1.0).m @ self.rotation.m))
-
 
 def det_split(g: Mat2C, tol: float = 1e-12) -> tuple[float, np.ndarray]:
     """(xi, g1) with g = e^{xi/2} g1 and det g1 = 1, so xi = ln det g.

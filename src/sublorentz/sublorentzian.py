@@ -171,18 +171,6 @@ def _adjoint_rhs(p1, p2, p3, p4, p5, p6, u1, u2, u3) -> tuple:
     )
 
 
-def covector_rhs(psi, u_dual) -> np.ndarray:
-    """Adjoint equations for a horizontal control with dual coordinates (u0..u3).
-
-    Valid for any measurable control; the normal case sets u_k = psi_k.
-    psi0 is conserved, the su(2) block is driven by the H0 block and vice
-    versa through the cross products of `_adjoint_rhs`.
-    """
-    _, p1, p2, p3, p4, p5, p6 = np.asarray(psi, dtype=float).tolist()
-    _, u1, u2, u3 = np.asarray(u_dual, dtype=float).tolist()
-    return np.array([0.0, *_adjoint_rhs(p1, p2, p3, p4, p5, p6, u1, u2, u3)])
-
-
 def _times_control(g00, g01, g10, g11, u0, u1, u2, u3) -> tuple:
     """Entries of g (u0 e0 - u1 e1 - u2 e2 - u3 e3) for g = [[g00, g01], [g10, g11]].
 

@@ -104,16 +104,6 @@ def sr_geodesic(p: SRGeodesicParams, t: float) -> Mat2C:
     return p.product_params().point(t)
 
 
-def sr_geodesic_two_factor(p: SRGeodesicParams, t: float) -> Mat2C:
-    """Independent evaluation as an explicit product of two exponentials."""
-    return p.product_params().point_two_factor(t)
-
-
-def sr_geodesic_control(p: SRGeodesicParams, t: float) -> AlgCoords:
-    """Left-logarithmic derivative of the geodesic: the rotated alpha_vec in H0."""
-    return p.product_params().control(t)
-
-
 def boost_distance(x: AlgCoords, tol: float = 1e-10) -> float:
     """Distance from the identity to exp(x) for traceless Hermitian x: exactly |x|."""
     if not x.in_H0(tol):
@@ -306,6 +296,8 @@ def distance_shoot(
     _require_unimodular(g1)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     lower = distance_lower_bound(g1)
 
     if float(np.max(np.abs(g1.m - _I2))) <= 1e-12:
@@ -498,13 +490,15 @@ def hermitian_endpoint_check(alpha_vec, beta_vec, tol: float = 1e-9) -> Hermitic
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     av = np.asarray(alpha_vec, dtype=float)
     bv = np.asarray(beta_vec, dtype=float)
-    m = _osn_margins(av, bv)
-    x, y = m["x"], m["y"]
-
+    # The series oracle first: it rejects an overflowing norm before the
+    # margins square it.
     a_mat = from_coords(np.concatenate([[0.0], av, np.zeros(3)]))
     b_mat = from_coords(np.concatenate([[0.0], np.zeros(3), bv]))
     endpoint = exp_series(a_mat + b_mat).m @ exp_series(-1 * b_mat).m
     defect = float(np.linalg.norm(endpoint - endpoint.conj().T))
+
+    m = _osn_margins(av, bv)
+    x, y = m["x"], m["y"]
 
     # The paired x, y satisfy 4xy = alpha.beta identically; guard the frame math.
     ab = float(np.dot(av, bv))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    AlgCoords,
     Mat2C,
     basis_matrix,
     clifford_check,
@@ -26,6 +25,7 @@ from .algebra import (
 from .expmap import ComplexAlgVec, exp_closed, exp_series, su2_exp
 from .subriemannian import (
     SRGeodesicParams,
+    cut_bound,
     distance_shoot,
     hermitian_endpoint_check,
     sr_geodesic,
@@ -223,7 +223,7 @@ def criterion_5(res: CriterionResult) -> None:
 def criterion_6(res: CriterionResult) -> None:
     """Orthogonal-family cut: distinct alpha choices meet at 2*pi/sqrt(beta^2-1)."""
     beta = 2.0
-    t_cut = 2.0 * math.pi / math.sqrt(beta * beta - 1.0)
+    t_cut = cut_bound(beta)
     p1 = SRGeodesicParams(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, beta]))
     p2 = SRGeodesicParams(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, beta]))
     g1 = sr_geodesic(p1, t_cut)

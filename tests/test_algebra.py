@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sublorentz import (
+    DEFAULT_TOL,
     REGIME_TIMELIKE,
     AlgCoords,
     ComplexAlgVec,
@@ -58,7 +59,8 @@ class TestBasis:
         for i in range(4):
             assert basis_matrix(i).is_hermitian(0.0)
         for i in range(4, 7):
-            assert basis_matrix(i).is_skew_hermitian(0.0)
+            m = basis_matrix(i).m
+            assert np.array_equal(m, -m.conj().T)
 
 
 class TestCommutators:
@@ -82,23 +84,27 @@ class TestCommutators:
 
     def test_subspace_closure(self):
         # Hermitian x Hermitian lands in su(2); su(2) acts on Hermitians; su(2) closes.
+        # su(2) coordinates: u0 = u1 = u2 = u3 = u7 = 0.
         h_idx, k_idx = (0, 1, 2, 3), (4, 5, 6)
+        not_su2 = [0, 1, 2, 3, 7]
         for i in h_idx:
             for j in h_idx:
-                assert to_coords(commutator(basis_matrix(i), basis_matrix(j))).in_su2(0.0)
+                u = to_coords(commutator(basis_matrix(i), basis_matrix(j))).u
+                assert not u[not_su2].any()
         for i in k_idx:
             for j in h_idx:
                 assert to_coords(commutator(basis_matrix(i), basis_matrix(j))).in_H(0.0)
         for i in k_idx:
             for j in k_idx:
-                assert to_coords(commutator(basis_matrix(i), basis_matrix(j))).in_su2(0.0)
+                u = to_coords(commutator(basis_matrix(i), basis_matrix(j))).u
+                assert not u[not_su2].any()
 
 
 class TestStructureConstants:
     def test_values(self):
         table = structure_constants()
-        assert table[4, 5, 6] == 1.0
-        assert table[1, 2, 6] == -1.0
+        assert table.C[4, 5, 6] == 1.0
+        assert table.C[1, 2, 6] == -1.0
         assert np.array_equal(table.C[0], np.zeros((7, 7)))
         assert np.array_equal(table.C[:, 0], np.zeros((7, 7)))
         assert np.array_equal(table.C[:, :, 0], np.zeros((7, 7)))
@@ -113,7 +119,7 @@ class TestStructureConstants:
         table = structure_constants()
         for i in range(7):
             for j in range(7):
-                rebuilt = from_coords(np.concatenate([table.bracket_coords(i, j), [0.0]]))
+                rebuilt = from_coords(np.concatenate([table.C[i, j], [0.0]]))
                 direct = commutator(basis_matrix(i), basis_matrix(j))
                 assert rebuilt.distance(direct) < 1e-14
 
@@ -222,7 +228,7 @@ class TestCoordinates:
         assert AlgCoords.basis(0).in_H()
         assert not AlgCoords.basis(0).in_H0()
         assert AlgCoords.basis(2).in_H0()
-        assert AlgCoords.basis(5).in_su2()
+        assert not AlgCoords.basis(5).u[[0, 1, 2, 3, 7]].any()
         assert not AlgCoords.basis(7).in_gl_plus()
         assert AlgCoords.basis(3).in_gl_plus()
 
@@ -332,10 +338,12 @@ class TestMat2C:
     def test_predicates(self):
         assert Mat2C.identity().is_hermitian()
         assert Mat2C.identity().is_unitary()
-        assert Mat2C.identity().is_special()
-        assert Mat2C.identity().is_positive_definite_hermitian()
-        assert basis_matrix(4).is_skew_hermitian()
-        assert not Mat2C(np.diag([1.0, -2.0])).is_positive_definite_hermitian()
+        assert abs(Mat2C.identity().det() - 1.0) <= DEFAULT_TOL
+        assert (np.linalg.eigvalsh(Mat2C.identity().m) > 0).all()
+        e4 = basis_matrix(4).m
+        assert np.max(np.abs(e4 + e4.conj().T)) <= DEFAULT_TOL
+        assert Mat2C(np.diag([1.0, -2.0])).is_hermitian()
+        assert not (np.linalg.eigvalsh(Mat2C(np.diag([1.0, -2.0])).m) > 0).all()
 
     def test_inverse(self):
         m = Mat2C(np.array([[2.0, 1.0], [0.5, 1.0]], dtype=complex))

@@ -388,6 +388,14 @@ class TestHermitianCheck:
         assert code == 0
         assert parse_payload(out)["result"]["case"] == "collinear"
 
+    def test_overflowing_constants_write_one_error_line(self, fresh_python):
+        # A new interpreter, so numpy's warnings reach stderr as they would in a shell.
+        proc = fresh_python("-m", "sublorentz.cli", "hermitian-check",
+                            "--alpha=1e155,0,0", "--beta=0,1e155,0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: matrix exponential overflows double precision: norm 1e+155 > 700\n"
+
 
 _TIMELIKE_BOOST = json.dumps(Mat2C(math.exp(1.0) * np.array(
     [[math.cosh(0.25), math.sinh(0.25)], [math.sinh(0.25), math.cosh(0.25)]])).to_json())
@@ -411,6 +419,29 @@ def test_bad_tol_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+_BOOST = json.dumps(Mat2C(np.array(
+    [[math.cosh(0.25), math.sinh(0.25)], [math.sinh(0.25), math.cosh(0.25)]])).to_json())
+
+
+# Boost targets return before any solve, so they show the check comes first.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--matrix", _SHEAR, "--budget", "-5"],
+        ["distance", "--matrix", _SHEAR, "--budget", "0"],
+        ["distance", "--matrix", _BOOST, "--budget", "0"],
+        ["classify", "--matrix", _TIMELIKE_BOOST, "--budget", "-5"],
+        ["classify", "--matrix", _TIMELIKE_BOOST, "--budget", "0"],
+    ],
+    ids=["distance-shear--5", "distance-shear-0", "distance-boost-0",
+         "classify-boost--5", "classify-boost-0"],
+)
+def test_bad_budget_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err == "error: budget must be at least 1, got " + argv[-1] + "\n"
 
 
 class TestValidate:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sublorentz import (
-    AlgCoords,
     CausalReport,
     ComplexAlgVec,
     CovectorState,
@@ -25,7 +24,6 @@ from sublorentz import (
     canonical_reduce,
     causal_classify,
     causal_relation,
-    covector_rhs,
     exp_closed,
     extremal_path,
     longest_arc,
@@ -38,7 +36,7 @@ from sublorentz import (
     su2_exp,
     to_coords,
 )
-from sublorentz.sublorentzian import ExtremalParams, _gauge_step, _normal_step
+from sublorentz.sublorentzian import ExtremalParams, _adjoint_rhs, _gauge_step, _normal_step
 
 
 def boost_target(xi, eta, direction=(1.0, 0.0, 0.0)):
@@ -638,8 +636,11 @@ class TestAbnormal:
         psi = np.array([0, 0, 0, 0, -0.5, 1.0, -2.0])
         bhat = np.array([0.5, -1.0, 2.0]) / np.linalg.norm([0.5, -1.0, 2.0])
         for k in (0.0, 0.3, -1.2):
-            u = (math.cosh(k), *(bhat * math.sinh(k)))
-            assert np.max(np.abs(covector_rhs(psi, u))) < 1e-10
+            u = bhat * math.sinh(k)
+            # psi' = (0, u x psi_456, u x psi_123) for a control with H0 part u
+            assert np.max(np.abs(np.cross(u, psi[4:]))) < 1e-10
+            assert np.max(np.abs(np.cross(u, psi[1:4]))) < 1e-10
+            assert np.max(np.abs(_adjoint_rhs(*psi[1:], *u))) < 1e-10
 
     def test_isotropic_zero_crossing_rejected(self):
         with pytest.raises(ValueError):

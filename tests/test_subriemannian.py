@@ -21,8 +21,6 @@ from sublorentz import (
     exp_series,
     hermitian_endpoint_check,
     sr_geodesic,
-    sr_geodesic_control,
-    sr_geodesic_two_factor,
     su2_exp,
     to_coords,
 )
@@ -78,7 +76,7 @@ class TestGeodesic:
             a /= np.linalg.norm(a)
             p = params(a, rng.uniform(-2.5, 2.5, 3))
             t = rng.uniform(-5, 5)
-            worst = max(worst, sr_geodesic(p, t).distance(sr_geodesic_two_factor(p, t)))
+            worst = max(worst, sr_geodesic(p, t).distance(p.product_params().point_two_factor(t)))
         assert worst < 1e-11
 
     def test_unimodular(self):
@@ -115,7 +113,7 @@ class TestGeodesic:
             g = sr_geodesic(p, t)
             dg = (sr_geodesic(p, t + h).m - sr_geodesic(p, t - h).m) / (2 * h)
             fd = to_coords(Mat2C(g.inverse().m @ dg))
-            closed = sr_geodesic_control(p, t)
+            closed = p.product_params().control(t)
             assert np.max(np.abs(fd.u - closed.u)) < 1e-5
 
 
@@ -300,6 +298,11 @@ class TestDistanceShoot:
         for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
                 distance_shoot(Mat2C.identity(), tol=tol)
+        # Checked before the identity and boost early returns, which never solve.
+        for target in (Mat2C.identity(), boost([1, 0, 0], 0.5)):
+            for budget in (0, -5):
+                with pytest.raises(ValueError, match="budget must be at least 1"):
+                    distance_shoot(target, budget=budget)
 
     def test_bracket_json_roundtrip(self):
         target = sr_geodesic(params([0, 1, 0], [0.2, 0, -0.5]), 0.6)
