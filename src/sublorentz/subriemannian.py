@@ -235,14 +235,16 @@ def _log_g_su2(g: tuple, c0: float, c1: float, c2: float, branch: int):
                     g10 * s00 + g11 * s10, g10 * s01 + g11 * s11, branch)
 
 
-def _fixed_point(c: np.ndarray, g: tuple, branch: int) -> np.ndarray:
-    """Shooting residual skew(log(g exp(c))) - c on a log branch; 1e6 where that log is None."""
+def _fixed_point(c: np.ndarray, g: tuple, branch: int) -> list[float]:
+    """Shooting residual skew(log(g exp(c))) - c on a log branch; 1e6 where that log is None.
+
+    The list is `entry_coords(*L)[4:7] - c` by the same float operations."""
     c0, c1, c2 = c.tolist()
     L = _log_g_su2(g, c0, c1, c2, branch)
     if L is None:
-        return np.full(3, 1e6)
-    u = entry_coords(*L)
-    return np.array((u[4] - c0, u[5] - c1, u[6] - c2))
+        return [1e6, 1e6, 1e6]
+    a00, a01, a10, a11 = L
+    return [(a01 + a10).imag - c0, (a10 - a01).real - c1, (a00 - a11).imag - c2]
 
 
 def _candidate(g1m: np.ndarray, v: np.ndarray, c: np.ndarray):
@@ -292,6 +294,22 @@ def distance_shoot(
     large tol therefore reports a wide bracket as converged: on the first
     `mixed` target of `bench/workloads.py`'s `classify_corpus(sl, 1, 12)`,
     tol=10 gives [0.784, 2.087] with converged true (tol=1e-7: false).
+
+    Rotation targets (boost factor at most 1e-12) return [lower, inf) with no
+    witness and run no solve, because no solve can certify one there:
+      1. For g1 in SU(2), every M = g1 exp(c) is in SU(2).
+      2. `_log_sl2` of a unitary M is (i theta + 2 pi i k)(2P - I), P the
+         orthogonal eigenprojector, or (M - mu I)/mu, or None.  It is
+         skew-Hermitian, so T = |hermitian_part(L)| is rounding noise, which
+         `_candidate` rejects.
+      3. Any witness has T > 0 and exp(T(a + b)) = g1 exp(T b) in SU(2).  The
+         traceless part of that exponential, (sinh(lambda)/lambda) T(a + b)
+         with +-lambda the eigenvalues, would be skew-Hermitian if nonzero;
+         then T a, T b are real multiples of i K, K for one skew-Hermitian K,
+         so they commute and g1 = exp(T a) is not unitary.  So sinh(lambda)
+         = 0 and g1 exp(T b) = +-I, which `_log_sl2` refuses (the closed-form
+         fiber witness, lambda = i pi, is of this kind).
+      4. The polish runs only when the boost factor exceeds 1e-6.
     """
     _require_unimodular(g1)
     if not 0.0 < tol < math.inf:
@@ -312,6 +330,11 @@ def distance_shoot(
         residual = float(np.max(np.abs(sr_geodesic(params, T).m - g1.m)))
         witness = GeodesicWitness(params, T, residual)
         return DistanceBracket(lower, max(T, lower), True, witness)
+    x_boost = pd.boost.u[1:4]
+    boost_norm = float(np.linalg.norm(x_boost))
+    if boost_norm <= 1e-12:
+        # Rotation target: no solve can give a witness (see above).
+        return DistanceBracket(lower, math.inf, False, None)
 
     rng = np.random.default_rng(seed)
     branches = (0, 1, -1, 2, -2, 3, -3)
@@ -351,9 +374,8 @@ def distance_shoot(
     # positive definite cone, so a start seeded from the polar decomposition
     # (boost X, su(2) part -log k) is refined by least squares on the endpoint
     # residual.  Skipped when the bracket is already tight.
-    x_boost = pd.boost.u[1:4]
     tight = feasible and min(f[0] for f in feasible) <= lower + tol
-    if not tight and float(np.linalg.norm(x_boost)) > 1e-6:
+    if not tight and boost_norm > 1e-6:
         log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
         if log_k is not None:
             c_seed = -np.array(entry_coords(*log_k)[4:7])

@@ -25,11 +25,31 @@ from sublorentz import (
     to_coords,
 )
 from sublorentz import subriemannian
-from sublorentz.algebra import coords
+from sublorentz.algebra import coords, entry_coords
 
 
 def params(alpha, beta):
     return SRGeodesicParams(np.asarray(alpha, float), np.asarray(beta, float))
+
+
+# A boost-rotation target whose bracket never gets tight (`test_import_scope`'s).
+_BOOST_ROTATION = Mat2C(np.array([[math.cosh(0.45), math.sinh(0.45)],
+                                  [math.sinh(0.45), math.cosh(0.45)]])
+                        @ su2_exp([0.3, 1.1, -0.6]).m)
+
+
+def _count_solves(monkeypatch, *names) -> dict:
+    """Wrap the named `subriemannian` solvers; the dict counts their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        solve = getattr(subriemannian, name)
+
+        def counting_solve(*args, _name=name, _solve=solve, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(subriemannian, name, counting_solve)
+    return calls
 
 
 def boost(direction, length):
@@ -249,32 +269,33 @@ class TestDistanceShoot:
             assert callable(getattr(subriemannian, name)), name
 
     def test_every_shooting_solve_goes_through_the_module_root(self, monkeypatch):
-        calls = []
-        solve = subriemannian.root
-
-        def counting_solve(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(subriemannian, "root", counting_solve)
-        br = distance_shoot(su2_exp([0.3, 1.1, -0.6]))  # a rotation: never tight
+        calls = _count_solves(monkeypatch, "root")
+        br = distance_shoot(_BOOST_ROTATION)  # never tight
         assert not br.converged
-        assert len(calls) == 7 * (240 // 7)  # every start on all seven log branches
+        assert calls["root"] == 7 * (240 // 7)  # every start on all seven log branches
+
+    def test_su2_fiber_skips_the_multistart(self, monkeypatch):
+        calls = _count_solves(monkeypatch, "root", "least_squares")
+        axis = np.array([0.3, 1.1, -0.6]) / np.linalg.norm([0.3, 1.1, -0.6])
+        angles = (1e-6, 1e-3, 2.0, 2 * math.pi - 1e-3, 2 * math.pi - 1e-6)
+        targets = [su2_exp(phi * axis) for phi in angles] + [Mat2C(-np.eye(2))]
+        for g1 in targets:
+            br = distance_shoot(g1)
+            assert (br.lower, br.upper, br.converged) == (distance_lower_bound(g1), math.inf, False)
+            assert br.witness is None
+        assert calls == {"root": 0, "least_squares": 0}
+        # Just off the fiber (boost 1e-4) the full multistart still runs.
+        near = Mat2C(boost([0.2, -0.5, 0.8], 1e-4).m @ su2_exp(2.0 * axis).m)
+        assert not distance_shoot(near).converged
+        assert calls["root"] == 7 * (240 // 7)
 
     def test_polish_refines_only_the_polar_seed(self, monkeypatch):
         # Small |beta|: the root solves leave the bracket loose, so the polish runs.
-        calls = []
-        solve = subriemannian.least_squares
-
-        def counting_solve(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(subriemannian, "least_squares", counting_solve)
+        calls = _count_solves(monkeypatch, "least_squares")
         p = params([0.48516030160457185, -0.43389553188805674, -0.7591799188298787],
                    [0.0018626643585940663, -0.001999478720363208, 0.0009483277950850703])
         br = distance_shoot(sr_geodesic(p, 1.1672458844635885))
-        assert len(calls) == 1
+        assert calls["least_squares"] == 1
         assert br.upper.hex() == "0x1.2ad0a05429628p+0"
 
     def test_shooting_builds_few_matrices(self, monkeypatch):
@@ -451,7 +472,7 @@ class TestShootingLog:
                 assert shifts[int(np.argmax(np.abs(mus)))].real == pytest.approx(1.0), kind
 
     @pytest.mark.parametrize("b", [0.0, 1e-9, 0.3])
-    def test_degenerate_eigenvalues_fall_back_to_logm(self, b, monkeypatch):
+    def test_degenerate_eigenvalues_take_the_closed_form(self, b, monkeypatch):
         import scipy.linalg
 
         calls = []
@@ -474,6 +495,24 @@ class TestShootingLog:
         for branch in (1, -1, 2, -2, 3, -3):
             assert subriemannian._log_g_su2(g, 0.0, 0.0, 0.0, branch) is None
             assert np.array_equal(subriemannian._fixed_point(c, g, branch), np.full(3, 1e6))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_root_on_the_su2_fiber_gives_a_witness(self, seed):
+        # What lets `distance_shoot` skip the multistart on rotation targets.
+        rng = np.random.default_rng(seed)
+        g1 = su2_exp(rng.uniform(0.5, 3.0) * rng.normal(size=3))
+        g = _entries(g1.m)
+        tol = 1e-7
+        starts = subriemannian._shooting_starts(rng, 240 // 7 - 1, 13.0)
+        for branch in self.BRANCHES:
+            for c0 in starts:
+                sol = subriemannian.root(subriemannian._fixed_point, c0, args=(g, branch),
+                                         method="hybr", tol=1e-13)
+                L = subriemannian._log_g_su2(g, *sol.x.tolist(), branch)
+                if not sol.success or L is None:
+                    continue
+                cand = subriemannian._candidate(g1.m, np.array(entry_coords(*L)[1:4]), sol.x)
+                assert cand is None or cand[3] >= tol, (branch, c0, cand)
 
     @pytest.mark.parametrize("b", [0.0, 0.3])
     def test_minus_identity_has_no_canonical_log(self, b):
