@@ -460,15 +460,20 @@ def _exact(bracket: DistanceBracket) -> bool:
     return bracket.width <= _EXACT_WIDTH and math.isfinite(bracket.upper)
 
 
+def _midpoint(bracket: DistanceBracket) -> float:  # the eta that class and distance read
+    return 0.5 * (bracket.lower + bracket.upper)
+
+
 @dataclass(frozen=True)
 class CausalReport:
     """Classification of a group element relative to the identity.
 
-    distance is None for unreachable and indeterminate targets (the
-    unreachable value "-inf" is an out-of-band marker applied only at
-    serialization, never in arithmetic).  c_param is the boost rapidity with
-    xi = d cosh(c), eta = d sinh(c) for timelike targets.  The flags are
-    read off the bracket: `eta_exact` when it is finite and at most
+    Stores xi, the eta bracket and the class; the rest is read off them.
+    distance is sqrt(xi^2 - eta^2) at the bracket midpoint eta for timelike
+    targets, 0 for the identity and isotropic ones, and None otherwise (the
+    unreachable "-inf" is a marker applied only at serialization).  c_param
+    is the rapidity atanh(eta/xi) of timelike targets: xi = d cosh(c), eta =
+    d sinh(c).  `eta_exact` when the bracket is finite and at most
     _EXACT_WIDTH wide; `extrapolated` when it is inexact with a vanishing
     lower end (unitary g1 != I), so the class leans on shooting alone.
     """
@@ -476,8 +481,18 @@ class CausalReport:
     xi: float
     eta: DistanceBracket
     causal_class: str
-    distance: float | None
-    c_param: float | None
+
+    @property
+    def distance(self) -> float | None:
+        if self.causal_class == CLASS_TIMELIKE:
+            eta = _midpoint(self.eta)
+            return math.sqrt(self.xi * self.xi - eta * eta)  # xi exactly on the scalar ray
+        return 0.0 if self.causal_class in (CLASS_IDENTITY, CLASS_ISOTROPIC) else None
+
+    @property
+    def c_param(self) -> float | None:
+        timelike = self.causal_class == CLASS_TIMELIKE
+        return math.atanh(_midpoint(self.eta) / self.xi) if timelike else None
 
     @property
     def eta_exact(self) -> bool:
@@ -488,33 +503,19 @@ class CausalReport:
         return not self.eta_exact and self.eta.lower <= _EXACT_WIDTH
 
     def to_json(self) -> dict:
-        if self.causal_class == CLASS_UNREACHABLE:
-            dist = "-inf"
-        elif self.distance is None:
-            dist = None
-        else:
-            dist = float(self.distance)
         return {
             "xi": float(self.xi),
             "eta": self.eta.to_json(),
             "class": self.causal_class,
-            "distance": dist,
-            "c": None if self.c_param is None else float(self.c_param),
+            "distance": "-inf" if self.causal_class == CLASS_UNREACHABLE else self.distance,
+            "c": self.c_param,
             "extrapolated": bool(self.extrapolated),
             "eta_exact": bool(self.eta_exact),
         }
 
     @classmethod
     def from_json(cls, d: dict) -> "CausalReport":
-        dist = d["distance"]
-        distance = None if dist in (None, "-inf") else float(dist)
-        return cls(
-            float(d["xi"]),
-            DistanceBracket.from_json(d["eta"]),
-            d["class"],
-            distance,
-            None if d["c"] is None else float(d["c"]),
-        )
+        return cls(float(d["xi"]), DistanceBracket.from_json(d["eta"]), d["class"])
 
 
 def causal_classify(
@@ -532,25 +533,24 @@ def causal_classify(
     if bracket.witness is None and bracket.upper == 0.0:
         # scalar ray: eta = 0 exactly
         if abs(xi) <= 1e-12:
-            return CausalReport(xi, bracket, CLASS_IDENTITY, 0.0, None)
+            return CausalReport(xi, bracket, CLASS_IDENTITY)
         if xi > 0:
-            return CausalReport(xi, bracket, CLASS_TIMELIKE, xi, 0.0)
-        return CausalReport(xi, bracket, CLASS_UNREACHABLE, None, None)
+            return CausalReport(xi, bracket, CLASS_TIMELIKE)
+        return CausalReport(xi, bracket, CLASS_UNREACHABLE)
 
-    eta = 0.5 * (bracket.lower + bracket.upper)
+    eta = _midpoint(bracket)
     if _exact(bracket):
         if abs(xi - eta) <= _EXACT_TIE_TOL * max(1.0, abs(xi), eta):
-            return CausalReport(xi, bracket, CLASS_ISOTROPIC, 0.0, None)
+            return CausalReport(xi, bracket, CLASS_ISOTROPIC)
         if xi < eta:
-            return CausalReport(xi, bracket, CLASS_UNREACHABLE, None, None)
+            return CausalReport(xi, bracket, CLASS_UNREACHABLE)
     else:
         # Inexact bracket: only strict separations are decided.
         if xi < bracket.lower - tol:
-            return CausalReport(xi, bracket, CLASS_UNREACHABLE, None, None)
+            return CausalReport(xi, bracket, CLASS_UNREACHABLE)
         if not (math.isfinite(bracket.upper) and xi > bracket.upper + tol):
-            return CausalReport(xi, bracket, CLASS_INDETERMINATE, None, None)
-    d = math.sqrt(xi * xi - eta * eta)
-    return CausalReport(xi, bracket, CLASS_TIMELIKE, d, math.atanh(eta / xi))
+            return CausalReport(xi, bracket, CLASS_INDETERMINATE)
+    return CausalReport(xi, bracket, CLASS_TIMELIKE)
 
 
 def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) -> PathSample:

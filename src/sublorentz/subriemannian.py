@@ -8,9 +8,10 @@ Geodesics from the identity are products of two one-parameter subgroups,
 parametrized here by (alpha_vec, beta_vec) = coordinates of a and b.  The
 distance from the identity to a positive definite Hermitian target exp(X) is
 exactly |X| (one-parameter subgroups tangent to the distribution are metric
-lines); the projection to hyperbolic 3-space never increases distance, which
-yields the certified lower bound ln(lambda_max(g g*)).  For general targets
-the distance is bracketed: hyperbolic lower bound below, best shooting
+lines); the projection to hyperbolic 3-space SL(2,C)/SU(2) never increases
+distance, so for g = exp(X) k (polar decomposition, k in SU(2)) the
+hyperbolic distance |X| of the projection is a certified lower bound.  For
+general targets the distance is bracketed: that bound below, best shooting
 solution above.
 """
 
@@ -28,7 +29,6 @@ from .expmap import (
     exp_series,
     polar_decompose,
     su2_entries,
-    aligning_rotation,
 )
 
 _I2 = np.eye(2, dtype=complex)
@@ -118,16 +118,14 @@ def _require_unimodular(g1: Mat2C, tol: float = 1e-9) -> None:
 
 
 def distance_lower_bound(g1: Mat2C) -> float:
-    """Certified lower bound ln(lambda_max(g1 g1*)): hyperbolic distance of the projection.
+    """Certified lower bound |X| for g1 = exp(X) k: hyperbolic distance of the projection.
 
-    Exact on positive definite Hermitian targets, degenerate (zero) on the
-    unitary fiber through the identity.
+    X is the polar boost: exact on positive definite Hermitian targets, zero to
+    rounding on SU(2).  The same ln(lambda_max(g1 g1*)) as acosh(tr(g1 g1*)/2),
+    without that form's cancellation on short boosts and near SU(2).
     """
     _require_unimodular(g1)
-    q = g1.m @ g1.m.conj().T
-    tau = float((q[0, 0] + q[1, 1]).real) / 2.0  # det(q) = 1, eigenvalues lam, 1/lam
-    tau = max(tau, 1.0)
-    return math.log(tau + math.sqrt(max(tau * tau - 1.0, 0.0)))
+    return boost_distance(polar_decompose(g1).boost)
 
 
 def cut_bound(beta: float) -> float:
@@ -286,7 +284,10 @@ def distance_shoot(
     geodesic hitting g1 exactly at time T = |hermitian_part(log(g1 exp(c)))|.
     Any geodesic reaching g1 at time T proves distance <= T, so the witness
     is the shortest candidate whose endpoint residual is below tol, whatever
-    its length or |beta|; the lower end is the hyperbolic projection bound.
+    its length or |beta|.  The lower end is the projection bound |X| of the
+    one polar decomposition g1 = exp(X) k (`distance_lower_bound`), and that
+    one value is also the boost witness length (boost brackets are exactly
+    [|X|, |X|]), the rotation-fiber test and the polish gate.
     tol must be finite and positive.  Deterministic for a fixed seed.
 
     tol has two roles: it certifies a witness's endpoint residual, and
@@ -316,23 +317,19 @@ def distance_shoot(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    lower = distance_lower_bound(g1)
-
     if float(np.max(np.abs(g1.m - _I2))) <= 1e-12:
         return DistanceBracket(0.0, 0.0, True, None)
 
     pd = polar_decompose(g1)
+    x_boost = pd.boost.u[1:4]
+    lower = boost_distance(pd.boost)  # `distance_lower_bound`, from the one decomposition
     if pd.rotation.distance(Mat2C.identity()) <= 1e-10:
         # Boost target: the one-parameter subgroup through it is a metric line.
-        x = pd.boost.u[1:4]
-        T = float(np.linalg.norm(x))
-        params = SRGeodesicParams(x / T if T > 0 else np.array([1.0, 0.0, 0.0]), np.zeros(3))
-        residual = float(np.max(np.abs(sr_geodesic(params, T).m - g1.m)))
-        witness = GeodesicWitness(params, T, residual)
-        return DistanceBracket(lower, max(T, lower), True, witness)
-    x_boost = pd.boost.u[1:4]
-    boost_norm = float(np.linalg.norm(x_boost))
-    if boost_norm <= 1e-12:
+        axis = x_boost / lower if lower > 0 else np.array([1.0, 0.0, 0.0])
+        params = SRGeodesicParams(axis, np.zeros(3))
+        residual = float(np.max(np.abs(sr_geodesic(params, lower).m - g1.m)))
+        return DistanceBracket(lower, lower, True, GeodesicWitness(params, lower, residual))
+    if lower <= 1e-12:
         # Rotation target: no solve can give a witness (see above).
         return DistanceBracket(lower, math.inf, False, None)
 
@@ -375,7 +372,7 @@ def distance_shoot(
     # (boost X, su(2) part -log k) is refined by least squares on the endpoint
     # residual.  Skipped when the bracket is already tight.
     tight = feasible and min(f[0] for f in feasible) <= lower + tol
-    if not tight and boost_norm > 1e-6:
+    if not tight and lower > 1e-6:
         log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
         if log_k is not None:
             c_seed = -np.array(entry_coords(*log_k)[4:7])
@@ -457,9 +454,8 @@ class HermiticityReport:
 def _osn_margins(alpha_vec, beta_vec) -> dict:
     """Decision quantities for the Hermitian-endpoint conditions.
 
-    Evaluated in the rotated frame with alpha along the first axis (the
-    conjugation is an isometry acting identically on both coordinate
-    triples, so x, y, beta and all conditions are unchanged).
+    x + iy is the curve's w1 = (1/2) sqrt(sum_k (a_k + i b_k)^2), read from
+    `ProductExpParams`, its one home.
     """
     av = np.asarray(alpha_vec, dtype=float)
     bv = np.asarray(beta_vec, dtype=float)
@@ -467,12 +463,8 @@ def _osn_margins(alpha_vec, beta_vec) -> dict:
     nb = float(np.linalg.norm(bv))
     if na == 0.0 or nb == 0.0:
         raise ValueError("both vectors must be nonzero")
-    _, R = aligning_rotation(av)
-    a_red = R @ av  # (na, 0, 0) up to rounding
-    b_red = R @ bv
-    alpha = float(a_red[0])
-    w_plus = 0.5 * np.sqrt(complex(alpha * alpha - nb * nb + 2j * alpha * b_red[0]))
-    x, y = float(w_plus.real), float(w_plus.imag)
+    w1 = ProductExpParams(np.concatenate([[0.0], av, bv])).w1
+    x, y = w1.real, w1.imag
     half = nb / 2.0
     cross = float(np.linalg.norm(np.cross(av, bv))) / (na * nb)
     cos_half = math.cos(half)
@@ -522,7 +514,7 @@ def hermitian_endpoint_check(alpha_vec, beta_vec, tol: float = 1e-9) -> Hermitic
     m = _osn_margins(av, bv)
     x, y = m["x"], m["y"]
 
-    # The paired x, y satisfy 4xy = alpha.beta identically; guard the frame math.
+    # The paired x, y satisfy 4xy = alpha.beta identically; guard their evaluation.
     ab = float(np.dot(av, bv))
     if abs(4.0 * x * y - ab) > 1e-10 * max(1.0, abs(ab)):
         raise RuntimeError(f"inconsistent frame: 4xy = {4.0 * x * y:.17g}, alpha.beta = {ab:.17g}")

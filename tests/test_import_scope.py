@@ -31,9 +31,10 @@ def run(argv):
     return code, out.getvalue()
 """
 
-# sha256 of the non-boost `distance` output below, as printed by the package
-# when it still imported scipy.optimize with itself.
-DISTANCE_SHA256 = "cdf09e0f5b8d8ef1e090980ab30cfcc857c923ef5a20995a5cb9e89df6a6e7f3"
+# sha256 of the non-boost `distance` output below.  Its lower end is the
+# projection bound |X| = 2 * 0.45 = 0.9 of the polar factor, printed as
+# 0.89999999999999991.
+DISTANCE_SHA256 = "4f821a03f84757c957030831879772f55313d3aea8e11082291dc38e554011b4"
 
 
 def _child(fresh_python, body: str, cwd=None):

@@ -462,16 +462,20 @@ class TestCausalClassify:
                                    Mat2C.identity())]
         cases.append((Mat2C(math.exp(1.5 / 2.0) * sr_geodesic(p, 0.8).m), {"seed": 5}))
         cases.append((Mat2C(math.exp(0.05) * su2_exp([0.0, 0.0, 1.4]).m), {"budget": 70}))
+        # A rotation: lower is 0 to rounding, so the report is extrapolated.
+        cases.append((Mat2C(math.exp(-0.5) * su2_exp([0.3, 1.1, -0.6]).m), {}))
         reports = []
         for g, kwargs in cases:
             report = causal_classify(g, **kwargs)
             back = CausalReport.from_json(report.to_json())
             assert back.causal_class == report.causal_class
             assert back.distance == report.distance
+            assert back.c_param == report.c_param
             assert back.xi == report.xi
             assert (back.eta_exact, back.extrapolated) == (report.eta_exact, report.extrapolated)
             reports.append(report)
         assert reports[0].eta_exact and not reports[3].eta_exact and reports[4].extrapolated
+        assert reports[5].extrapolated
 
 
 class TestLongestArc:

@@ -158,6 +158,8 @@ class TestLowerBound:
         assert distance_lower_bound(Mat2C.identity()) == 0.0
         assert abs(distance_lower_bound(boost([1, 0, 0], 1.0)) - 1.0) < 1e-13
         assert distance_lower_bound(su2_exp([0.4, 1.0, -0.3])) < 1e-12
+        # A trace form loses this to cancellation: acosh(1 + 2^-52) = 2.1e-8.
+        assert distance_lower_bound(su2_exp([1.0, 2.0, 0.5])) <= 1e-15
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
@@ -194,9 +196,16 @@ class TestDistanceShoot:
     def test_boost_target_exact(self):
         br = distance_shoot(boost([1, 0, 0], 2.0))
         assert abs(br.lower - 2.0) < 1e-12
-        assert br.upper - 2.0 < 1e-6
+        assert br.lower == br.upper == br.witness.T
         assert br.converged
         assert np.max(np.abs(br.witness.params.beta_vec)) < 1e-12
+        # Short boosts: [r, r] to rounding, where acosh(tr(g g*)/2) cancels
+        # (it reads r + 1.06e-9 at r = 1e-7, and 0 at r = 1e-9).
+        for r in (1e-9, 1e-8, 1e-7, 1e-6, 1e-4):
+            br = distance_shoot(boost([0.7, -0.2, 0.4], r))
+            assert br.lower == br.upper == br.witness.T
+            assert abs(br.lower - r) <= 1e-15
+            assert br.converged
 
     @staticmethod
     def _large_beta_targets(n):
@@ -355,6 +364,13 @@ class TestHermitianEndpoint:
         report = hermitian_endpoint_check([1.0, 0.2, 0.0], [0.0, 1.3, 0.4])
         assert report.case == "not-hermitian"
         assert report.residual > 1e-3
+        # Orthogonal with |alpha| = |beta|: w1 = 0 exactly, so x = y = 0; a
+        # rounded w1^2 of 1e-17 would put x, y near 5e-9, past tol.
+        for av, bv in (([0, 1, 0], [1, 0, 0]), ([-1, 0, 0], [0, 1, 0])):
+            report = hermitian_endpoint_check(av, bv)
+            assert report.case == "not-hermitian"
+            assert report.residual > 0.1
+            assert abs(report.x) <= 1e-15 and abs(report.y) <= 1e-15
 
     def test_rejects_zero_vectors(self):
         with pytest.raises(ValueError):
