@@ -169,17 +169,22 @@ def det_split(g: Mat2C, tol: float = 1e-12) -> tuple[float, np.ndarray]:
     return xi, math.exp(-xi / 2.0) * g.m
 
 
-def polar_decompose(g: Mat2C, tol: float = 1e-12) -> PolarDecomposition:
+def polar_decompose(g: Mat2C, tol: float = 1e-12, unimodular: bool = False) -> PolarDecomposition:
     """Unique factorization g = e^{xi/2} exp(X) k, X traceless Hermitian, k unitary.
 
-    Requires det(g) real and positive (see `det_split`).  The positive factor
-    is sqrt(g1 g1*) computed through `log_posdef`.
+    Requires det(g) real and positive (see `det_split`); unimodular=True takes
+    det(g) = 1 as checked by the caller, so xi = 0 and g is not rescaled by its
+    computed det, which cancels to eps |g|^2.  X is half of log(g1 g1*), whose
+    eigenvalues e^{+-|X|} differ by the length r of its traceless part:
+    |X| = asinh(r/2) is exact to rounding for every |X|, where
+    log(lambda_max / lambda_min) (`log_posdef`) cancels on long boosts.
     """
-    xi, g1 = det_split(g, tol)
-    q = Mat2C(g1 @ g1.conj().T)
-    x = log_posdef(q, tol=1e-9)
-    half = x.u / 2.0
-    half[0] = 0.0  # det(g1) = 1 forces the trace part to vanish
+    xi, g1 = (0.0, g.m) if unimodular else det_split(g, tol)
+    h = to_coords(Mat2C(g1 @ g1.conj().T)).u
+    r = math.sqrt(h[1] ** 2 + h[2] ** 2 + h[3] ** 2)
+    half = np.zeros(8)
+    if r > 0.0:
+        half[1:4] = (math.asinh(r / 2.0) / r) * h[1:4]
     boost = AlgCoords(half)
     p_inv = exp_closed(ComplexAlgVec.from_reals(-half[:4]), 1.0)
     k = Mat2C(p_inv.m @ g1)

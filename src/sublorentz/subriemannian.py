@@ -120,12 +120,13 @@ def _require_unimodular(g1: Mat2C, tol: float = 1e-9) -> None:
 def distance_lower_bound(g1: Mat2C) -> float:
     """Certified lower bound |X| for g1 = exp(X) k: hyperbolic distance of the projection.
 
-    X is the polar boost: exact on positive definite Hermitian targets, zero to
-    rounding on SU(2).  The same ln(lambda_max(g1 g1*)) as acosh(tr(g1 g1*)/2),
-    without that form's cancellation on short boosts and near SU(2).
+    X is the polar boost of g1 read as unimodular (`polar_decompose`), exact to
+    rounding on positive definite Hermitian targets of any length and zero to
+    rounding on SU(2).  acosh(tr(g1 g1*)/2) is the same ln(lambda_max(g1 g1*)),
+    but cancels on short boosts and near SU(2).
     """
     _require_unimodular(g1)
-    return boost_distance(polar_decompose(g1).boost)
+    return boost_distance(polar_decompose(g1, unimodular=True).boost)
 
 
 def cut_bound(beta: float) -> float:
@@ -320,7 +321,7 @@ def distance_shoot(
     if float(np.max(np.abs(g1.m - _I2))) <= 1e-12:
         return DistanceBracket(0.0, 0.0, True, None)
 
-    pd = polar_decompose(g1)
+    pd = polar_decompose(g1, unimodular=True)
     x_boost = pd.boost.u[1:4]
     lower = boost_distance(pd.boost)  # `distance_lower_bound`, from the one decomposition
     if pd.rotation.distance(Mat2C.identity()) <= 1e-10:

@@ -33,8 +33,8 @@ def run(argv):
 
 # sha256 of the non-boost `distance` output below.  Its lower end is the
 # projection bound |X| = 2 * 0.45 = 0.9 of the polar factor, printed as
-# 0.89999999999999991.
-DISTANCE_SHA256 = "4f821a03f84757c957030831879772f55313d3aea8e11082291dc38e554011b4"
+# 0.8999999999999998.
+DISTANCE_SHA256 = "996c722de17c5becd20eaa2953890babf6eacdd4d05b0d276bf65ab0d898cbb4"
 
 
 def _child(fresh_python, body: str, cwd=None):

@@ -272,6 +272,8 @@ def _path_runs():
 # sha256 of the bytes of every recorded time, point, control and covector
 # (None where a path has none), taken while each state was still built and
 # validated as its own object, so they pin the batched records to that code.
+# The longest-arc-boost points and controls are those of `point` and `control`
+# called once per time on its extremal.
 _PATH_SHA256 = {
     "timelike": (
         "d1570a98f78ef43df7954b2216321a095a76f4c9bede3ca9e0cc76a82c18cc56",
@@ -305,8 +307,8 @@ _PATH_SHA256 = {
     ),
     "longest-arc-boost": (
         "35e4225ebc855937d565b2e394065e89c84e4e6fd0ebba4888a10638f90467ca",
-        "b2adce34eb00f97e59c0fc7c1c7eb47e62d645070b279421fa45def09f984cd1",
-        "ed26c4682796cf83503b8a01adf5133087c3cf61f70a6e495b6cc793422fca4b",
+        "3a7a68da849411bdc4e22348c0385612aa9889a6ca6f9d83b2b56fd6478a1a0f",
+        "b291c8758351bb1555aaa5684c786e44fb34b73df7fea90b3d2b658c77b08309",
         None,
     ),
 }

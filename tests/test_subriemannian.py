@@ -160,6 +160,9 @@ class TestLowerBound:
         assert distance_lower_bound(su2_exp([0.4, 1.0, -0.3])) < 1e-12
         # A trace form loses this to cancellation: acosh(1 + 2^-52) = 2.1e-8.
         assert distance_lower_bound(su2_exp([1.0, 2.0, 0.5])) <= 1e-15
+        # det within the unimodular tolerance but not real: accepted, not rescaled.
+        g = Mat2C(boost([1, 0, 0], 1.0).m @ su2_exp([0.2, 0.1, 0.3]).m / cmath.sqrt(1 + 1e-10j))
+        assert abs(distance_lower_bound(g) - 1.0) < 1e-13
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
@@ -172,6 +175,11 @@ class TestLowerBound:
             x = x / np.linalg.norm(x) * rng.uniform(0.0, 4.0)
             got = distance_lower_bound(boost(x, np.linalg.norm(x)))
             assert abs(got - np.linalg.norm(x)) < 1e-12
+        # Long boosts: the small eigenvalue of g g* is lost to rounding here.
+        for r in (8.0, 10.0, 14.0):
+            for _ in range(10):
+                got = distance_lower_bound(boost(rng.normal(size=3), r))
+                assert abs(got - r) <= 1e-12
 
 
 class TestCutBound:
@@ -205,6 +213,11 @@ class TestDistanceShoot:
             br = distance_shoot(boost([0.7, -0.2, 0.4], r))
             assert br.lower == br.upper == br.witness.T
             assert abs(br.lower - r) <= 1e-15
+            assert br.converged
+        for r in (8.0, 10.0, 14.0):
+            br = distance_shoot(boost([0.7, -0.2, 0.4], r))
+            assert abs(br.lower - r) <= 1e-12
+            assert br.upper - br.lower <= 1e-12
             assert br.converged
 
     @staticmethod
@@ -305,7 +318,7 @@ class TestDistanceShoot:
                    [0.0018626643585940663, -0.001999478720363208, 0.0009483277950850703])
         br = distance_shoot(sr_geodesic(p, 1.1672458844635885))
         assert calls["least_squares"] == 1
-        assert br.upper.hex() == "0x1.2ad0a05429628p+0"
+        assert br.upper.hex() == "0x1.2ad0a05429629p+0"
 
     def test_shooting_builds_few_matrices(self, monkeypatch):
         # The fixed-point residual works on complex scalars; a Mat2C per
