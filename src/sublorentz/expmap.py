@@ -1,4 +1,4 @@
-"""Closed-form exponentials and logarithms on GL+(2,C).
+"""Closed-form exponentials and the polar decomposition on GL+(2,C).
 
 A matrix A = sum_i z_i e_i with complex coefficients z_0..z_3 over the
 Hermitian half-basis satisfies A = (z_0/2) I + N with N^2 = w^2 I, where
@@ -30,14 +30,6 @@ SMALL_W = 1e-8
 
 # Taylor terms `exp_series` sums at most; the scaled argument has norm <= 1/4.
 _SERIES_TERMS = 40
-
-
-class NotHermitianError(ValueError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Input Hermitian matrix has a non-positive eigenvalue."""
 
 
 def sinch(w: complex, t: float) -> complex:
@@ -116,32 +108,6 @@ def exp_series(m: Mat2C) -> Mat2C:
     return Mat2C(acc)
 
 
-def log_posdef(p: Mat2C, tol: float = 1e-10) -> AlgCoords:
-    """Logarithm of a positive definite Hermitian matrix, as coordinates in H.
-
-    Uses the closed-form 2x2 Hermitian eigenstructure: for p with coordinates
-    (h0, h1, h2, h3) the eigenvalues are h0/2 +- |h|/2, and log p keeps the
-    eigenvectors, so the traceless direction is preserved and only the radial
-    coordinates change.  Equal eigenvalues degenerate to log(lambda) * I.
-    """
-    if not p.is_hermitian(tol):
-        raise NotHermitianError("log_posdef requires a Hermitian matrix")
-    h = to_coords(p).u
-    r = math.sqrt(h[1] ** 2 + h[2] ** 2 + h[3] ** 2)
-    lam_plus = (h[0] + r) / 2.0
-    lam_minus = (h[0] - r) / 2.0
-    if lam_minus <= 0.0 or lam_plus <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"log_posdef requires positive eigenvalues, got {lam_minus:.3g}, {lam_plus:.3g}"
-        )
-    out = np.zeros(8)
-    out[0] = math.log(lam_plus) + math.log(lam_minus)
-    if r > 0.0:
-        radial = math.log(lam_plus / lam_minus)
-        out[1:4] = (radial / r) * h[1:4]
-    return AlgCoords(out)
-
-
 @dataclass(frozen=True)
 class PolarDecomposition:
     """g = e^{xi/2} exp(boost) rotation with boost in H0 and rotation in SU(2)."""
@@ -151,15 +117,15 @@ class PolarDecomposition:
     rotation: Mat2C
 
 
-def det_split(g: Mat2C, tol: float = 1e-12) -> tuple[float, np.ndarray]:
+def det_split(g: Mat2C) -> tuple[float, np.ndarray]:
     """(xi, g1) with g = e^{xi/2} g1 and det g1 = 1, so xi = ln det g.
 
-    Requires det(g) real and positive (imaginary part within tol relative)
+    Requires det(g) real and positive (imaginary part within 1e-12 relative)
     and not below 1e-300 in magnitude; raises NotInGLPlusError otherwise.
     """
     d = g.det()
     scale = max(1.0, abs(d))
-    if abs(d.imag) > tol * scale:
+    if abs(d.imag) > 1e-12 * scale:
         raise NotInGLPlusError(f"determinant {d} is not real")
     if d.real <= 0.0:
         raise NotInGLPlusError(f"determinant {d} is not positive")
@@ -169,7 +135,7 @@ def det_split(g: Mat2C, tol: float = 1e-12) -> tuple[float, np.ndarray]:
     return xi, math.exp(-xi / 2.0) * g.m
 
 
-def polar_decompose(g: Mat2C, tol: float = 1e-12, unimodular: bool = False) -> PolarDecomposition:
+def polar_decompose(g: Mat2C, unimodular: bool = False) -> PolarDecomposition:
     """Unique factorization g = e^{xi/2} exp(X) k, X traceless Hermitian, k unitary.
 
     Requires det(g) real and positive (see `det_split`); unimodular=True takes
@@ -177,9 +143,9 @@ def polar_decompose(g: Mat2C, tol: float = 1e-12, unimodular: bool = False) -> P
     computed det, which cancels to eps |g|^2.  X is half of log(g1 g1*), whose
     eigenvalues e^{+-|X|} differ by the length r of its traceless part:
     |X| = asinh(r/2) is exact to rounding for every |X|, where
-    log(lambda_max / lambda_min) (`log_posdef`) cancels on long boosts.
+    log(lambda_max / lambda_min) cancels on long boosts.
     """
-    xi, g1 = (0.0, g.m) if unimodular else det_split(g, tol)
+    xi, g1 = (0.0, g.m) if unimodular else det_split(g)
     h = to_coords(Mat2C(g1 @ g1.conj().T)).u
     r = math.sqrt(h[1] ** 2 + h[2] ** 2 + h[3] ** 2)
     half = np.zeros(8)

@@ -37,7 +37,7 @@ from .expmap import (
     sinc_scaled,
     sinch,
 )
-from .subriemannian import DistanceBracket, distance_shoot
+from .subriemannian import _ZERO_LENGTH, DistanceBracket, distance_shoot
 
 REGIME_TIMELIKE = "timelike-normal"
 REGIME_ISOTROPIC = "isotropic-normal"
@@ -474,8 +474,9 @@ class CausalReport:
     unreachable "-inf" is a marker applied only at serialization).  c_param
     is the rapidity atanh(eta/xi) of timelike targets: xi = d cosh(c), eta =
     d sinh(c).  `eta_exact` when the bracket is finite and at most
-    _EXACT_WIDTH wide; `extrapolated` when it is inexact with a vanishing
-    lower end (unitary g1 != I), so the class leans on shooting alone.
+    _EXACT_WIDTH wide; `extrapolated` when it is inexact with a lower end
+    `distance_shoot` reads as zero (unitary g1 != I), so the class leans on
+    shooting alone.
     """
 
     xi: float
@@ -500,7 +501,7 @@ class CausalReport:
 
     @property
     def extrapolated(self) -> bool:
-        return not self.eta_exact and self.eta.lower <= _EXACT_WIDTH
+        return not self.eta_exact and self.eta.lower <= _ZERO_LENGTH
 
     def to_json(self) -> dict:
         return {

@@ -33,6 +33,32 @@ from .expmap import (
 
 _I2 = np.eye(2, dtype=complex)
 
+# The decision thresholds of `distance_shoot`, each named once.  The two
+# scaled tests compare products of g1 with itself, whose rounding error is
+# about eps |g1|_F^2 (Higham, Accuracy and Stability of Numerical
+# Algorithms, SIAM 2002, ch. 3); |g1|_F^2 = 2 cosh|X| >= 2 on SL(2,C).
+_EPS = float(np.finfo(float).eps)
+# g1 is the identity when every entry is this close: far above the rounding
+# of a product that should be I, far below any other target's distance.
+_IDENTITY_TOL = 1e-12
+# A length this small is zero: the fiber test on |X| (rotations read |X| <=
+# 1e-15) and a root's time T in `_candidate`.
+_ZERO_LENGTH = 1e-12
+# g1 is a boost when its polar rotation is within this many eps |g1|_F^2 of
+# I: 48,000 float boosts with |X| <= 22 came within 1.9, and the benchmark
+# corpus's other targets sit at least 6.9e12 away.
+_BOOST_ROUNDING = 4.0
+# det g1 may miss 1 by this times max(1, |g1|_F^2 / 2): 1e-9 near SU(2), and
+# on long boosts far above det's own rounding error of eps |g1|_F^2.
+_UNIMODULAR_TOL = 1e-9
+# The polish runs only above this |X|: rotations (|X| <= 1e-15) can get no
+# certified witness, and nine decades above them is still far below any
+# boost-rotation of interest.
+_POLISH_MIN_LOWER = 1e-6
+# Roots that agree to this many decimals are one root: `root` solves to
+# 1e-13, so repeated solves of one root agree to far more.
+_ROOT_DIGITS = 9
+
 
 # The shooting solvers.  scipy.optimize takes longer to import than the rest
 # of the package together, and only the non-boost distance needs it, so it is
@@ -104,16 +130,21 @@ def sr_geodesic(p: SRGeodesicParams, t: float) -> Mat2C:
     return p.product_params().point(t)
 
 
-def boost_distance(x: AlgCoords, tol: float = 1e-10) -> float:
+def boost_distance(x: AlgCoords) -> float:
     """Distance from the identity to exp(x) for traceless Hermitian x: exactly |x|."""
-    if not x.in_H0(tol):
+    if not x.in_H0(1e-10):
         raise ValueError("boost_distance requires coordinates in H0")
     return float(np.linalg.norm(x.u[1:4]))
 
 
-def _require_unimodular(g1: Mat2C, tol: float = 1e-9) -> None:
+def _frobenius_sq(g1: Mat2C) -> float:
+    """|g1|_F^2: a product of g1 with itself rounds to about eps times this."""
+    return float(np.sum(np.abs(g1.m) ** 2))
+
+
+def _require_unimodular(g1: Mat2C) -> None:
     d = g1.det()
-    if abs(d - 1.0) > tol:
+    if abs(d - 1.0) > _UNIMODULAR_TOL * max(1.0, _frobenius_sq(g1) / 2.0):
         raise ValueError(f"target must be unimodular, det = {d}")
 
 
@@ -249,7 +280,7 @@ def _fixed_point(c: np.ndarray, g: tuple, branch: int) -> list[float]:
 def _candidate(g1m: np.ndarray, v: np.ndarray, c: np.ndarray):
     """Turn (v, c) = (T alpha, T beta) into (T, alpha_vec, beta_vec, endpoint residual)."""
     T = float(np.linalg.norm(v))
-    if T < 1e-12:
+    if T < _ZERO_LENGTH:
         return None
     av = v / T
     bv = c / T
@@ -275,9 +306,13 @@ def distance_shoot(
 ) -> DistanceBracket:
     """Bracket the distance from the identity to a unimodular target.
 
-    Strategy: positive definite Hermitian targets (rotation factor of the
-    polar decomposition within 1e-10 of I) are exact; otherwise candidate
-    geodesics are recovered by solving the 3-dimensional fixed-point equation
+    g1 is unimodular when |det g1 - 1| <= 1e-9 max(1, |g1|_F^2 / 2).
+    Strategy: positive definite Hermitian targets are exact.  g1 counts as
+    one when the rotation factor k of its polar decomposition is within
+    4 eps |g1|_F^2 of I (Frobenius): k is read off products of g1 with
+    itself, which round to about eps |g1|_F^2, so an absolute bound would
+    miss long float boosts.  Otherwise candidate geodesics are recovered by
+    solving the 3-dimensional fixed-point equation
 
         skew_part( log( g1 exp(c) ) ) = c
 
@@ -297,7 +332,7 @@ def distance_shoot(
     `mixed` target of `bench/workloads.py`'s `classify_corpus(sl, 1, 12)`,
     tol=10 gives [0.784, 2.087] with converged true (tol=1e-7: false).
 
-    Rotation targets (boost factor at most 1e-12) return [lower, inf) with no
+    Rotation targets (|X| at most 1e-12) return [lower, inf) with no
     witness and run no solve, because no solve can certify one there:
       1. For g1 in SU(2), every M = g1 exp(c) is in SU(2).
       2. `_log_sl2` of a unitary M is (i theta + 2 pi i k)(2P - I), P the
@@ -311,26 +346,26 @@ def distance_shoot(
          so they commute and g1 = exp(T a) is not unitary.  So sinh(lambda)
          = 0 and g1 exp(T b) = +-I, which `_log_sl2` refuses (the closed-form
          fiber witness, lambda = i pi, is of this kind).
-      4. The polish runs only when the boost factor exceeds 1e-6.
+      4. The polish runs only when |X|, the lower end, exceeds 1e-6.
     """
     _require_unimodular(g1)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    if float(np.max(np.abs(g1.m - _I2))) <= 1e-12:
+    if float(np.max(np.abs(g1.m - _I2))) <= _IDENTITY_TOL:
         return DistanceBracket(0.0, 0.0, True, None)
 
     pd = polar_decompose(g1, unimodular=True)
     x_boost = pd.boost.u[1:4]
     lower = boost_distance(pd.boost)  # `distance_lower_bound`, from the one decomposition
-    if pd.rotation.distance(Mat2C.identity()) <= 1e-10:
+    if pd.rotation.distance(Mat2C.identity()) <= _BOOST_ROUNDING * _EPS * _frobenius_sq(g1):
         # Boost target: the one-parameter subgroup through it is a metric line.
-        axis = x_boost / lower if lower > 0 else np.array([1.0, 0.0, 0.0])
-        params = SRGeodesicParams(axis, np.zeros(3))
+        # lower > 0 here, since a unitary g1 this close to I is the identity.
+        params = SRGeodesicParams(x_boost / lower, np.zeros(3))
         residual = float(np.max(np.abs(sr_geodesic(params, lower).m - g1.m)))
         return DistanceBracket(lower, lower, True, GeodesicWitness(params, lower, residual))
-    if lower <= 1e-12:
+    if lower <= _ZERO_LENGTH:
         # Rotation target: no solve can give a witness (see above).
         return DistanceBracket(lower, math.inf, False, None)
 
@@ -354,7 +389,7 @@ def distance_shoot(
             sol = root(_fixed_point, c0, args=(g, branch), method="hybr", tol=1e-13)
             if not sol.success:
                 continue
-            key = (branch,) + tuple(np.round(sol.x, 9))
+            key = (branch,) + tuple(np.round(sol.x, _ROOT_DIGITS))
             if key in seen_roots:
                 continue
             seen_roots.add(key)
@@ -373,7 +408,7 @@ def distance_shoot(
     # (boost X, su(2) part -log k) is refined by least squares on the endpoint
     # residual.  Skipped when the bracket is already tight.
     tight = feasible and min(f[0] for f in feasible) <= lower + tol
-    if not tight and lower > 1e-6:
+    if not tight and lower > _POLISH_MIN_LOWER:
         log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
         if log_k is not None:
             c_seed = -np.array(entry_coords(*log_k)[4:7])

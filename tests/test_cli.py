@@ -231,6 +231,26 @@ class TestDistance:
         assert result["converged"] is True
         assert result["witness"]["T"] == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("command", ["distance", "classify"])
+    def test_long_boost_is_exact(self, capsys, command):
+        # At |X| = 18, det g1 and the polar rotation of g1 are 1 and I only to
+        # about eps |g1|_F^2 = 1.5e-8.
+        from sublorentz import ComplexAlgVec, exp_closed
+
+        d = np.array([1.0, 2.0, 3.0]) / np.linalg.norm([1.0, 2.0, 3.0])
+        g1 = exp_closed(ComplexAlgVec.from_reals([0.0, *(18.0 * d)]), 1.0)
+        code, out, _ = run(capsys, command, "--matrix", json.dumps(g1.to_json()))
+        assert code == 0
+        result = parse_payload(out)["result"]
+        # classify brackets g1 / sqrt(det g1), whose |X| is 18 - ln det g1.
+        bracket, r = (result["eta"], 18.0 - result["xi"]) if command == "classify" else (result, 18.0)
+        assert bracket["lower"] == bracket["upper"] == bracket["witness"]["T"]
+        assert abs(bracket["lower"] - r) <= 1e-12 * r
+        assert bracket["witness"]["beta"] == [0.0, 0.0, 0.0]
+        assert bracket["converged"] is True
+        if command == "classify":
+            assert result["eta_exact"] is True
+
 
 class TestLongestArc:
     def test_reachable(self, capsys):

@@ -1,4 +1,4 @@
-"""Closed-form exponential, series oracle, logarithm, polar decomposition."""
+"""Closed-form exponential, series oracle, polar decomposition."""
 
 import cmath
 import math
@@ -9,15 +9,12 @@ import pytest
 from sublorentz import (
     ComplexAlgVec,
     Mat2C,
-    NotHermitianError,
     NotInGLPlusError,
-    NotPositiveDefiniteError,
     ProductExpParams,
     basis_matrix,
     exp_closed,
     exp_series,
     from_coords,
-    log_posdef,
     polar_decompose,
     su2_exp,
     to_coords,
@@ -126,35 +123,6 @@ class TestExpSeries:
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             exp_series(Mat2C(np.diag([1500.0, -1500.0])))
-
-
-class TestLogPosdef:
-    def test_identity(self):
-        assert np.max(np.abs(log_posdef(Mat2C.identity()).u)) == 0.0
-
-    def test_diagonal(self):
-        got = log_posdef(Mat2C(np.diag([math.e, 1.0 / math.e])))
-        assert np.max(np.abs(got.u - np.array([0, 0, 0, 2, 0, 0, 0, 0.0]))) < 1e-14
-
-    def test_roundtrip_with_closed_form(self):
-        got = log_posdef(exp_closed(vec(1, 1, 0, 0), 1.0))
-        assert np.max(np.abs(got.u - np.array([1, 1, 0, 0, 0, 0, 0, 0.0]))) < 1e-12
-
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            x = rng.uniform(-1.5, 1.5, 4)  # |X| <= 3
-            p = exp_series(ComplexAlgVec.from_reals(x).matrix())
-            back = log_posdef(p)
-            assert np.max(np.abs(back.u[:4] - x)) < 1e-10
-
-    def test_error_codes_distinct(self):
-        with pytest.raises(NotHermitianError):
-            log_posdef(Mat2C(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)))
-        with pytest.raises(NotPositiveDefiniteError):
-            log_posdef(Mat2C(np.diag([1.0, -2.0])))
-        with pytest.raises(NotPositiveDefiniteError):
-            log_posdef(Mat2C(np.diag([1.0, 0.0])))
 
 
 class TestPolar:

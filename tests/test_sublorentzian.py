@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 import warnings
 
@@ -393,6 +394,33 @@ def test_gauge_step_matches_numpy_oracle():
         controls = [np.array(us[i]) for i in (0, 1, 1, 2)]
         want, _ = _oracle_step(g, np.zeros(7), h, controls)
         assert _relative_gap(got, want.ravel()) <= 1e-15
+
+
+def _shooting_targets():
+    """Three geodesic-built targets, two boost-rotations and one rotation, each with its xi."""
+    rng = np.random.default_rng(160)
+    targets = []
+    for xi_of_T in (lambda T: T + 1.0, lambda T: 0.5 * T, lambda T: T):
+        a = rng.normal(size=3)
+        p = SRGeodesicParams(a / np.linalg.norm(a), rng.uniform(-1.5, 1.5, 3))
+        T = rng.uniform(0.5, 2.0)
+        targets.append((xi_of_T(T), sr_geodesic(p, T)))
+    for xi in (3.0, 0.2):
+        b = boost_target(0.0, rng.uniform(0.3, 2.0), rng.normal(size=3))
+        targets.append((xi, Mat2C(b.m @ su2_exp(rng.uniform(-1.5, 1.5, 3)).m)))
+    targets.append((1.0, su2_exp(rng.uniform(-1.5, 1.5, 3))))
+    return [Mat2C(math.exp(xi / 2.0) * g1.m) for xi, g1 in targets]
+
+
+# sha256 of the JSON of `causal_classify` on `_shooting_targets()`: timelike,
+# unreachable and indeterminate geodesic-built reports, an indeterminate and
+# an unreachable boost-rotation and an extrapolated rotation, all inexact.
+_SHOOTING_REPORTS_SHA256 = "93d42d29e1a6a6b3493d46508a0c51a4aa2dbdbe30efa593c08d5d0f4c2a0dfa"
+
+
+def test_shooting_reports_sha256_pinned():
+    text = json.dumps([causal_classify(g).to_json() for g in _shooting_targets()])
+    assert hashlib.sha256(text.encode()).hexdigest() == _SHOOTING_REPORTS_SHA256
 
 
 class TestCausalClassify:

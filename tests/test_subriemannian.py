@@ -175,8 +175,9 @@ class TestLowerBound:
             x = x / np.linalg.norm(x) * rng.uniform(0.0, 4.0)
             got = distance_lower_bound(boost(x, np.linalg.norm(x)))
             assert abs(got - np.linalg.norm(x)) < 1e-12
-        # Long boosts: the small eigenvalue of g g* is lost to rounding here.
-        for r in (8.0, 10.0, 14.0):
+        # Long boosts: the small eigenvalue of g g* is lost to rounding here,
+        # and det g misses 1 by more than 1e-9 from |X| = 18.
+        for r in (8.0, 10.0, 14.0, 16.0, 18.0, 20.0):
             for _ in range(10):
                 got = distance_lower_bound(boost(rng.normal(size=3), r))
                 assert abs(got - r) <= 1e-12
@@ -214,11 +215,17 @@ class TestDistanceShoot:
             assert br.lower == br.upper == br.witness.T
             assert abs(br.lower - r) <= 1e-15
             assert br.converged
-        for r in (8.0, 10.0, 14.0):
-            br = distance_shoot(boost([0.7, -0.2, 0.4], r))
-            assert abs(br.lower - r) <= 1e-12
-            assert br.upper - br.lower <= 1e-12
-            assert br.converged
+        # Long boosts: the polar rotation of a float boost is I only to about
+        # eps |g|_F^2, and det g is 1 only to the same scale.
+        rng = np.random.default_rng(93)
+        directions = [rng.normal(size=3) for _ in range(6)]
+        for r in (8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0):
+            for d in directions:
+                br = distance_shoot(boost(d, r))
+                assert br.lower == br.upper == br.witness.T, (r, d)
+                assert not np.any(br.witness.params.beta_vec), (r, d)
+                assert abs(br.lower - r) <= 1e-12 * r, (r, d)
+                assert br.converged
 
     @staticmethod
     def _large_beta_targets(n):
@@ -299,7 +306,9 @@ class TestDistanceShoot:
     def test_su2_fiber_skips_the_multistart(self, monkeypatch):
         calls = _count_solves(monkeypatch, "root", "least_squares")
         axis = np.array([0.3, 1.1, -0.6]) / np.linalg.norm([0.3, 1.1, -0.6])
-        angles = (1e-6, 1e-3, 2.0, 2 * math.pi - 1e-3, 2 * math.pi - 1e-6)
+        # A rotation by 1e-10 is no boost either, though its polar rotation is
+        # within 1e-10 of I.
+        angles = (1e-10, 1e-6, 1e-3, 2.0, 2 * math.pi - 1e-3, 2 * math.pi - 1e-6)
         targets = [su2_exp(phi * axis) for phi in angles] + [Mat2C(-np.eye(2))]
         for g1 in targets:
             br = distance_shoot(g1)
