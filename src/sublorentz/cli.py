@@ -23,11 +23,7 @@ import numpy as np
 
 from .algebra import Mat2C, format_float, parse_complex
 from .expmap import ComplexAlgVec, exp_closed, exp_series
-from .subriemannian import (
-    SRGeodesicParams,
-    distance_shoot,
-    hermitian_endpoint_check,
-)
+from .subriemannian import SRGeodesicParams, distance_shoot, hermitian_endpoint_check
 from .sublorentzian import (
     CLASS_INDETERMINATE,
     REGIME_ISOTROPIC,

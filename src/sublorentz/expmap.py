@@ -117,15 +117,21 @@ class PolarDecomposition:
     rotation: Mat2C
 
 
+def _frobenius_sq(g: Mat2C) -> float:
+    """|g|_F^2: a product of g with itself, such as det g, rounds to about eps times this."""
+    return float(np.sum(np.abs(g.m) ** 2))
+
+
 def det_split(g: Mat2C) -> tuple[float, np.ndarray]:
     """(xi, g1) with g = e^{xi/2} g1 and det g1 = 1, so xi = ln det g.
 
-    Requires det(g) real and positive (imaginary part within 1e-12 relative)
-    and not below 1e-300 in magnitude; raises NotInGLPlusError otherwise.
+    Requires det(g) real and positive and not below 1e-300 in magnitude;
+    raises NotInGLPlusError otherwise.  Real means |Im det| <= 1e-12 max(1,
+    |g|_F^2 / 2): a computed det rounds to about eps |g|_F^2, which grows as
+    2 cosh|X| on a boost-rotation of length |X| (|g|_F^2 >= 2 |det|).
     """
     d = g.det()
-    scale = max(1.0, abs(d))
-    if abs(d.imag) > 1e-12 * scale:
+    if abs(d.imag) > 1e-12 * max(1.0, _frobenius_sq(g) / 2.0):
         raise NotInGLPlusError(f"determinant {d} is not real")
     if d.real <= 0.0:
         raise NotInGLPlusError(f"determinant {d} is not positive")

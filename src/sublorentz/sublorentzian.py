@@ -30,14 +30,8 @@ import numpy as np
 
 from .algebra import (
     AlgCoords, Mat2C, _frozen_array, _frozen_rows, coeff_entries, format_float, to_coords)
-from .expmap import (
-    ProductExpParams,
-    aligning_rotation,
-    det_split,
-    sinc_scaled,
-    sinch,
-)
-from .subriemannian import _ZERO_LENGTH, DistanceBracket, distance_shoot
+from .expmap import ProductExpParams, aligning_rotation, det_split, sinc_scaled, sinch
+from .subriemannian import _ZERO_LENGTH, DistanceBracket, _shoot_front, _shoot_search
 
 REGIME_TIMELIKE = "timelike-normal"
 REGIME_ISOTROPIC = "isotropic-normal"
@@ -275,16 +269,13 @@ class PathSample:
         t = _frozen_array(self.times, float, (len(self.points),), "times")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        if self.controls is not None and len(self.controls) != len(t):
-            raise ValueError("controls length mismatch")
-        if self.covectors is not None and len(self.covectors) != len(t):
-            raise ValueError("covectors length mismatch")
+        for name in ("controls", "covectors"):
+            rows = getattr(self, name)
+            if rows is not None and len(rows) != len(t):
+                raise ValueError(f"{name} length mismatch")
+            object.__setattr__(self, name, None if rows is None else tuple(rows))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "points", tuple(self.points))
-        if self.controls is not None:
-            object.__setattr__(self, "controls", tuple(self.controls))
-        if self.covectors is not None:
-            object.__setattr__(self, "covectors", tuple(self.covectors))
 
     CSV_COLUMNS = (
         ["t"]
@@ -307,14 +298,8 @@ class PathSample:
             for r in range(2):
                 for c in range(2):
                     row += [ff(g[r, c].real), ff(g[r, c].imag)]
-            if self.controls is not None:
-                row += [ff(x) for x in self.controls[j].u[:7]]
-            else:
-                row += [""] * 7
-            if self.covectors is not None:
-                row += [ff(x) for x in self.covectors[j].psi]
-            else:
-                row += [""] * 7
+            row += [ff(x) for x in self.controls[j].u[:7]] if self.controls else [""] * 7
+            row += [ff(x) for x in self.covectors[j].psi] if self.covectors else [""] * 7
             row += [ff(extra[k][j]) for k in extra]
             w.writerow(row)
 
@@ -476,7 +461,9 @@ class CausalReport:
     d sinh(c).  `eta_exact` when the bracket is finite and at most
     _EXACT_WIDTH wide; `extrapolated` when it is inexact with a lower end
     `distance_shoot` reads as zero (unitary g1 != I), so the class leans on
-    shooting alone.
+    shooting alone.  A non-boost report whose xi lies below lower - tol is
+    unreachable by the lower end alone and carries [lower, inf) with no
+    witness; `distance_shoot` (and the `distance` command) still shoots it.
     """
 
     xi: float
@@ -519,39 +506,49 @@ class CausalReport:
         return cls(float(d["xi"]), DistanceBracket.from_json(d["eta"]), d["class"])
 
 
+def _causal_class(xi: float, bracket: DistanceBracket, tol: float) -> str:
+    """The class xi and the eta bracket decide (see `causal_classify`)."""
+    if bracket.witness is None and bracket.upper == 0.0:  # scalar ray: eta = 0 exactly
+        if abs(xi) <= 1e-12:
+            return CLASS_IDENTITY
+        return CLASS_TIMELIKE if xi > 0 else CLASS_UNREACHABLE
+    eta = _midpoint(bracket)
+    if _exact(bracket):
+        if abs(xi - eta) <= _EXACT_TIE_TOL * max(1.0, abs(xi), eta):
+            return CLASS_ISOTROPIC
+        if xi < eta:
+            return CLASS_UNREACHABLE
+    elif xi < bracket.lower - tol:  # inexact: only strict separations are decided
+        return CLASS_UNREACHABLE
+    elif not (math.isfinite(bracket.upper) and xi > bracket.upper + tol):
+        return CLASS_INDETERMINATE
+    return CLASS_TIMELIKE
+
+
 def causal_classify(
     g: Mat2C, tol: float = 1e-7, seed: int = 0, budget: int = 240
 ) -> CausalReport:
     """Classify g and compute the sub-Lorentzian distance from the identity.
 
-    xi = ln det g must be real; eta is bracketed by `distance_shoot` (exact
+    xi = ln det g must be real; eta is bracketed as by `distance_shoot` (exact
     when the unimodular part is positive definite Hermitian).  With an exact
     bracket the trichotomy xi > = < eta is decided directly; with an inexact
     one, xi inside [lower - tol, upper + tol] is reported indeterminate.
+    Since eta >= lower, a xi below lower - tol (and below the isotropic tie
+    window of an exact bracket) is unreachable whatever shooting finds: such
+    a non-boost target runs no solve and reports [lower, inf) with no witness.
     """
     xi, g1 = det_split(g)
-    bracket = distance_shoot(Mat2C(g1), tol=tol, seed=seed, budget=budget)
-    if bracket.witness is None and bracket.upper == 0.0:
-        # scalar ray: eta = 0 exactly
-        if abs(xi) <= 1e-12:
-            return CausalReport(xi, bracket, CLASS_IDENTITY)
-        if xi > 0:
-            return CausalReport(xi, bracket, CLASS_TIMELIKE)
-        return CausalReport(xi, bracket, CLASS_UNREACHABLE)
-
-    eta = _midpoint(bracket)
-    if _exact(bracket):
-        if abs(xi - eta) <= _EXACT_TIE_TOL * max(1.0, abs(xi), eta):
-            return CausalReport(xi, bracket, CLASS_ISOTROPIC)
-        if xi < eta:
-            return CausalReport(xi, bracket, CLASS_UNREACHABLE)
-    else:
-        # Inexact bracket: only strict separations are decided.
-        if xi < bracket.lower - tol:
-            return CausalReport(xi, bracket, CLASS_UNREACHABLE)
-        if not (math.isfinite(bracket.upper) and xi > bracket.upper + tol):
-            return CausalReport(xi, bracket, CLASS_INDETERMINATE)
-    return CausalReport(xi, bracket, CLASS_TIMELIKE)
+    g1 = Mat2C(g1)
+    bracket = _shoot_front(g1, tol, budget)
+    if not isinstance(bracket, DistanceBracket):  # not the identity, a boost or a rotation
+        pd, lower = bracket
+        margin = max(tol, _EXACT_TIE_TOL * max(1.0, abs(xi), lower + _EXACT_WIDTH))
+        if xi < lower - margin:
+            bracket = DistanceBracket(lower, math.inf, False, None)
+        else:
+            bracket = _shoot_search(g1, pd, lower, tol, budget, seed)
+    return CausalReport(xi, bracket, _causal_class(xi, bracket, tol))
 
 
 def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) -> PathSample:

@@ -19,17 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .algebra import AlgCoords, Mat2C, _frozen_array, entry_coords, from_coords
-from .expmap import (
-    ProductExpParams,
-    exp_series,
-    polar_decompose,
-    su2_entries,
-)
+from .expmap import ProductExpParams, _frobenius_sq, exp_series, polar_decompose, su2_entries
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -55,6 +50,9 @@ _UNIMODULAR_TOL = 1e-9
 # certified witness, and nine decades above them is still far below any
 # boost-rotation of interest.
 _POLISH_MIN_LOWER = 1e-6
+# A polish trial point with T below this gets a flat residual 1e3 (its alpha is
+# noise): T >= |X| > _POLISH_MIN_LOWER for a witness, so none is cut off.
+_POLISH_ZERO_T = 1e-9
 # Roots that agree to this many decimals are one root: `root` solves to
 # 1e-13, so repeated solves of one root agree to far more.
 _ROOT_DIGITS = 9
@@ -135,11 +133,6 @@ def boost_distance(x: AlgCoords) -> float:
     if not x.in_H0(1e-10):
         raise ValueError("boost_distance requires coordinates in H0")
     return float(np.linalg.norm(x.u[1:4]))
-
-
-def _frobenius_sq(g1: Mat2C) -> float:
-    """|g1|_F^2: a product of g1 with itself rounds to about eps times this."""
-    return float(np.sum(np.abs(g1.m) ** 2))
 
 
 def _require_unimodular(g1: Mat2C) -> None:
@@ -348,6 +341,15 @@ def distance_shoot(
          fiber witness, lambda = i pi, is of this kind).
       4. The polish runs only when |X|, the lower end, exceeds 1e-6.
     """
+    front = _shoot_front(g1, tol, budget)
+    if isinstance(front, DistanceBracket):
+        return front
+    return _shoot_search(g1, *front, tol, budget, seed)
+
+
+def _shoot_front(g1: Mat2C, tol: float, budget: int) -> DistanceBracket | tuple:
+    """The checks of `distance_shoot` and its bracket of the identity, a boost
+    or a rotation; else the one polar decomposition of g1 and its `lower`."""
     _require_unimodular(g1)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -357,18 +359,22 @@ def distance_shoot(
         return DistanceBracket(0.0, 0.0, True, None)
 
     pd = polar_decompose(g1, unimodular=True)
-    x_boost = pd.boost.u[1:4]
     lower = boost_distance(pd.boost)  # `distance_lower_bound`, from the one decomposition
     if pd.rotation.distance(Mat2C.identity()) <= _BOOST_ROUNDING * _EPS * _frobenius_sq(g1):
         # Boost target: the one-parameter subgroup through it is a metric line.
         # lower > 0 here, since a unitary g1 this close to I is the identity.
-        params = SRGeodesicParams(x_boost / lower, np.zeros(3))
+        params = SRGeodesicParams(pd.boost.u[1:4] / lower, np.zeros(3))
         residual = float(np.max(np.abs(sr_geodesic(params, lower).m - g1.m)))
         return DistanceBracket(lower, lower, True, GeodesicWitness(params, lower, residual))
     if lower <= _ZERO_LENGTH:
-        # Rotation target: no solve can give a witness (see above).
+        # Rotation target: no solve can give a witness (see `distance_shoot`).
         return DistanceBracket(lower, math.inf, False, None)
+    return pd, lower
 
+
+def _shoot_search(g1: Mat2C, pd, lower: float, tol: float, budget: int,
+                  seed: int) -> DistanceBracket:
+    """The multistart and polish of `distance_shoot` on a target `_shoot_front` left open."""
     rng = np.random.default_rng(seed)
     branches = (0, 1, -1, 2, -2, 3, -3)
     n_starts = max(4, budget // len(branches))
@@ -400,19 +406,19 @@ def distance_shoot(
             if cand is not None and cand[3] < tol:
                 feasible.append(cand)
         # A bracket already tight to tolerance cannot improve further.
-        if feasible and min(f[0] for f in feasible) <= lower + tol:
+        tight = bool(feasible) and min(f[0] for f in feasible) <= lower + tol
+        if tight:
             break
 
     # Polish stage: the fixed-point Jacobian degenerates for targets near the
     # positive definite cone, so a start seeded from the polar decomposition
     # (boost X, su(2) part -log k) is refined by least squares on the endpoint
     # residual.  Skipped when the bracket is already tight.
-    tight = feasible and min(f[0] for f in feasible) <= lower + tol
     if not tight and lower > _POLISH_MIN_LOWER:
         log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
         if log_k is not None:
             c_seed = -np.array(entry_coords(*log_k)[4:7])
-            polished = _polish_candidate(g1m, np.concatenate([x_boost, c_seed]), tol)
+            polished = _polish_candidate(g1m, np.concatenate([pd.boost.u[1:4], c_seed]), tol)
             if polished is not None:
                 feasible.append(polished)  # below tol: _polish_candidate checks
 
@@ -435,7 +441,7 @@ def _polish_candidate(g1m: np.ndarray, x0: np.ndarray, tol: float):
     def residual_vec(x):
         v = x[:3]
         T = np.linalg.norm(v)
-        if T < 1e-9:
+        if T < _POLISH_ZERO_T:
             return np.full(8, 1e3)
         p = SRGeodesicParams(v / T, x[3:] / T)
         gap = sr_geodesic(p, float(T)).m - g1m
@@ -478,13 +484,7 @@ class HermiticityReport:
         return self.case != "not-hermitian"
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "beta": self.beta,
-            "case": self.case,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def _osn_margins(alpha_vec, beta_vec) -> dict:

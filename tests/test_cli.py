@@ -196,6 +196,22 @@ class TestClassify:
         assert code == 3
         assert parse_payload(out)["result"]["class"] == "indeterminate"
 
+    def test_lower_decided_report(self, capsys):
+        # xi = 0 is below the projection bound |X| = 0.9 of this boost-rotation:
+        # classify reports [lower, inf) with no witness, longest-arc refuses it.
+        from sublorentz import ComplexAlgVec, exp_closed, su2_exp
+
+        b = exp_closed(ComplexAlgVec.from_reals([0.0, 0.9, 0.0, 0.0]), 1.0)
+        g = json.dumps(Mat2C(b.m @ su2_exp([0.3, 1.1, -0.6]).m).to_json())
+        code, out, _ = run(capsys, "classify", "--matrix", g)
+        assert code == 0
+        result = parse_payload(out)["result"]
+        assert result["class"] == "unreachable"
+        assert result["eta"]["upper"] == "inf" and result["eta"]["witness"] is None
+        code, out, err = run(capsys, "longest-arc", "--matrix", g)
+        assert code == 2 and out == ""
+        assert parse_payload(err)["result"] == result
+
     def test_non_group_input_exit_code(self, capsys):
         code, _, err = run(
             capsys, "classify", "--matrix", json.dumps(Mat2C(np.diag([1.0, -1.0])).to_json())

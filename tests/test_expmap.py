@@ -175,6 +175,17 @@ class TestPolar:
         with pytest.raises(NotInGLPlusError):
             polar_decompose(Mat2C(np.diag([1.0, 1j])))
 
+    def test_det_realness_scales_with_the_entries(self):
+        # A computed det rounds to about eps |g|_F^2 = eps 2cosh|X|, so Im det
+        # is judged against 1e-12 max(1, |g|_F^2 / 2), not 1e-12 max(1, |det|).
+        d = np.array([1.0, 2.0, 3.0]) / np.linalg.norm([1.0, 2.0, 3.0])
+        g = Mat2C(exp_closed(vec(0.0, *(16.0 * d)), 1.0).m @ su2_exp([0.4, 1.2, -0.7]).m)
+        assert abs(g.det().imag) > 1e-10  # far above 1e-12 max(1, |det g|)
+        assert abs(polar_decompose(g).xi) < 1e-8
+        near = Mat2C(su2_exp([0.3, 1.1, -0.6]).m * cmath.sqrt(1.0 + 1e-6j))
+        with pytest.raises(NotInGLPlusError, match="not real"):
+            polar_decompose(near)
+
 
 class TestRotationHelpers:
     def test_su2_exp_matches_series(self):

@@ -414,13 +414,27 @@ def _shooting_targets():
 
 # sha256 of the JSON of `causal_classify` on `_shooting_targets()`: timelike,
 # unreachable and indeterminate geodesic-built reports, an indeterminate and
-# an unreachable boost-rotation and an extrapolated rotation, all inexact.
-_SHOOTING_REPORTS_SHA256 = "93d42d29e1a6a6b3493d46508a0c51a4aa2dbdbe30efa593c08d5d0f4c2a0dfa"
+# an unreachable boost-rotation and an indeterminate rotation, all inexact.
+# The two unreachable ones are decided by the projection bound alone and run
+# no search, so they read [lower, inf) with no witness.
+_SHOOTING_REPORTS_SHA256 = "8c3f6542cb2b697c3b02beba4d7f45f512928c48efa7d7b4f300f4b63a1d2b1b"
+# sha256 of the other four reports alone, which the search decides.
+_SEARCHED_REPORTS_SHA256 = "d428c84183c2e26281cfdda454e5e9a12a590eae6e77a5cd0b6f5b4e09c618bc"
+# The lower ends of the two lower-decided reports, bit for bit those of the
+# full `distance_shoot` brackets.
+_LOWER_DECIDED = {1: 1.2447780787279754, 4: 1.1024473440317106}
 
 
 def test_shooting_reports_sha256_pinned():
-    text = json.dumps([causal_classify(g).to_json() for g in _shooting_targets()])
+    reports = [causal_classify(g).to_json() for g in _shooting_targets()]
+    text = json.dumps(reports)
     assert hashlib.sha256(text.encode()).hexdigest() == _SHOOTING_REPORTS_SHA256
+    searched = json.dumps([r for i, r in enumerate(reports) if i not in _LOWER_DECIDED])
+    assert hashlib.sha256(searched.encode()).hexdigest() == _SEARCHED_REPORTS_SHA256
+    for i, lower in _LOWER_DECIDED.items():
+        r = reports[i]
+        assert r["class"] == "unreachable" and r["xi"] < lower - 1e-7
+        assert r["eta"] == {"lower": lower, "upper": "inf", "converged": False, "witness": None}
 
 
 class TestCausalClassify:
@@ -506,6 +520,77 @@ class TestCausalClassify:
             reports.append(report)
         assert reports[0].eta_exact and not reports[3].eta_exact and reports[4].extrapolated
         assert reports[5].extrapolated
+
+    def test_long_boost_rotations_classify(self):
+        # Im det g rounds to about eps |g|_F^2 = eps 2cosh|X|, which exceeds
+        # 1e-12 max(1, |det g|) on 11 of these 20.
+        rng = np.random.default_rng(17)
+        for r in (12.0, 16.0):
+            for _ in range(10):
+                b = boost_target(0.0, r, rng.normal(size=3))
+                report = causal_classify(Mat2C(b.m @ su2_exp(rng.uniform(-1.5, 1.5, 3)).m))
+                assert report.causal_class == "unreachable"
+                assert abs(report.eta.lower - r) <= 1e-9 * r
+
+    def test_lower_decided_target_runs_no_solve(self, monkeypatch):
+        # At xi = 0 the boost-rotation's projection bound |X| = 0.9 decides the class.
+        from sublorentz import distance_shoot, subriemannian
+
+        g1 = Mat2C(boost_target(0.0, 0.9).m @ su2_exp([0.3, 1.1, -0.6]).m)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        for name in ("root", "least_squares"):
+            monkeypatch.setattr(subriemannian, name, no_solve)
+        report = causal_classify(g1)
+        assert report.causal_class == "unreachable"
+        assert report.eta.upper == math.inf and report.eta.witness is None
+        x = boost_target(0.3, 0.5, (0.0, 1.0, 0.0))
+        assert causal_relation(x, x @ g1) == "unrelated"
+        with pytest.raises(AssertionError, match="solver called"):
+            distance_shoot(g1)  # the distance is still shot in full
+        monkeypatch.undo()
+        br = distance_shoot(g1)
+        assert (br.lower, br.upper, br.converged) == (0.8999999999999998, 3.4585464995572806, False)
+
+    def test_lower_decision_leaves_the_isotropic_tie_to_the_search(self):
+        # Just off a boost the searched bracket is exact: xi = 1 - 5e-10 lies below
+        # lower - tol for tol = 1e-10, but inside the isotropic tie window.
+        g1 = Mat2C(boost_target(0.0, 1.0).m @ su2_exp([0.3e-11, 0.5e-11, 1e-11]).m)
+        report = causal_classify(Mat2C(math.exp((1.0 - 5e-10) / 2.0) * g1.m), tol=1e-10)
+        assert report.eta.witness is not None and report.eta_exact
+        assert report.causal_class == "isotropic"
+
+    @pytest.mark.parametrize("kind", ["geodesic", "boost-rotation"])
+    def test_lower_decision_keeps_the_full_bracket_class(self, kind):
+        # The class equals the one the full `distance_shoot` bracket gives,
+        # for xi drawn below and above lower and just either side of lower - tol
+        # (a 70-solve budget in both keeps the test short).
+        from sublorentz import distance_lower_bound, distance_shoot
+        from sublorentz.expmap import det_split
+        from sublorentz.sublorentzian import _causal_class
+
+        rng = np.random.default_rng(1717)
+        tol = 1e-7
+        for _ in range(2):
+            if kind == "geodesic":
+                a = rng.normal(size=3)
+                p = SRGeodesicParams(a / np.linalg.norm(a), rng.uniform(-1.5, 1.5, 3))
+                g1 = sr_geodesic(p, rng.uniform(0.5, 2.0))
+            else:
+                b = boost_target(0.0, rng.uniform(0.3, 2.0), rng.normal(size=3))
+                g1 = Mat2C(b.m @ su2_exp(rng.uniform(-1.5, 1.5, 3)).m)
+            lower = distance_lower_bound(g1)
+            for xi in (rng.uniform(0.0, lower), rng.uniform(lower, lower + 2.0),
+                       lower - 1.01 * tol, lower - 0.99 * tol):
+                g = Mat2C(math.exp(xi / 2.0) * g1.m)
+                report = causal_classify(g, tol=tol, budget=70)
+                full = distance_shoot(Mat2C(det_split(g)[1]), tol=tol, budget=70)
+                assert report.causal_class == _causal_class(report.xi, full, tol)
+                if report.eta.to_json() != full.to_json():  # decided by the lower end alone
+                    assert report.causal_class == "unreachable" and xi < lower - tol
+                    assert report.eta.lower == full.lower and report.eta.witness is None
 
 
 class TestLongestArc:
