@@ -243,6 +243,35 @@ def aligning_rotation(v) -> tuple[Mat2C, np.ndarray]:
     return su2_from_axis_angle(axis, angle), R
 
 
+def _curve_w(a: np.ndarray) -> tuple[complex, float]:
+    """(w1, w2) of the seven constants a of `ProductExpParams` (a float array)."""
+    w1 = 0.5 * cmath.sqrt(complex(
+        (a[1] + 1j * a[4]) ** 2 + (a[2] + 1j * a[5]) ** 2 + (a[3] + 1j * a[6]) ** 2))
+    w2 = 0.5 * math.sqrt(a[4] ** 2 + a[5] ** 2 + a[6] ** 2)
+    return w1, w2
+
+
+def _curve_coefficients(a: list, w1: complex, w2: float, t: float) -> tuple[complex, ...]:
+    """`ProductExpParams.coefficients` of the constants a (seven floats) with `_curve_w(a)`.
+
+    A plain function, so a caller that evaluates many constants (the polish in
+    `subriemannian`) builds no object per evaluation.
+    """
+    m1, n1 = cmath.cosh(w1 * t), sinch(w1, t)
+    m2, n2 = math.cos(w2 * t), sinc_scaled(w2, t)
+    ee = math.exp(a[0] * t / 2.0)
+    mix = n1 * n2
+    swing = ee * (m2 * n1 - m1 * n2)
+    return (
+        2.0 * ee * (m1 * m2 + mix * w2 * w2),
+        0.5 * ee * n1 * (2.0 * a[1] * m2 + (a[3] * a[5] - a[2] * a[6]) * n2),
+        0.5 * ee * n1 * (2.0 * a[2] * m2 + (a[1] * a[6] - a[3] * a[4]) * n2),
+        0.5 * ee * n1 * (2.0 * a[3] * m2 + (a[2] * a[4] - a[1] * a[5]) * n2),
+        swing * a[4], swing * a[5], swing * a[6],
+        -0.5 * ee * mix * (a[1] * a[4] + a[2] * a[5] + a[3] * a[6]),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ProductExpParams:
     """Seven real constants driving the product-of-exponentials curve.
@@ -269,29 +298,13 @@ class ProductExpParams:
         # Huge constants overflow here to inf/nan, which the finiteness checks on
         # the sampled matrices then reject; numpy's warning would only be noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            w1 = 0.5 * cmath.sqrt(complex(
-                (a[1] + 1j * a[4]) ** 2 + (a[2] + 1j * a[5]) ** 2 + (a[3] + 1j * a[6]) ** 2))
-            w2 = 0.5 * math.sqrt(a[4] ** 2 + a[5] ** 2 + a[6] ** 2)
+            w1, w2 = _curve_w(a)
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
 
     def coefficients(self, t: float) -> tuple[complex, ...]:
         """Complex coefficients (c0..c6, c7) of g(t) over {e_0..e_6, i e_0}."""
-        a = self.alpha.tolist()
-        w1, w2 = self.w1, self.w2
-        m1, n1 = cmath.cosh(w1 * t), sinch(w1, t)
-        m2, n2 = math.cos(w2 * t), sinc_scaled(w2, t)
-        ee = math.exp(a[0] * t / 2.0)
-        mix = n1 * n2
-        swing = ee * (m2 * n1 - m1 * n2)
-        return (
-            2.0 * ee * (m1 * m2 + mix * w2 * w2),
-            0.5 * ee * n1 * (2.0 * a[1] * m2 + (a[3] * a[5] - a[2] * a[6]) * n2),
-            0.5 * ee * n1 * (2.0 * a[2] * m2 + (a[1] * a[6] - a[3] * a[4]) * n2),
-            0.5 * ee * n1 * (2.0 * a[3] * m2 + (a[2] * a[4] - a[1] * a[5]) * n2),
-            swing * a[4], swing * a[5], swing * a[6],
-            -0.5 * ee * mix * (a[1] * a[4] + a[2] * a[5] + a[3] * a[6]),
-        )
+        return _curve_coefficients(self.alpha.tolist(), self.w1, self.w2, t)
 
     def control(self, t: float) -> AlgCoords:
         """The control g^-1 g'(t) = Ad(exp(t b)) a = (a0, precess(a_vec, b_vec, t), 0)."""
@@ -308,8 +321,10 @@ class ProductExpParams:
     def point_rows(self, ts) -> np.ndarray:
         """(N, 2, 2) array whose row j holds the entries of `point(ts[j])`, bit for bit."""
         rows = []
+        a, w1, w2 = self.alpha.tolist(), self.w1, self.w2
         try:
-            rows.extend(coeff_entries(*self.coefficients(t)) for t in np.asarray(ts, float).tolist())
+            rows.extend(coeff_entries(*_curve_coefficients(a, w1, w2, t))
+                        for t in np.asarray(ts, float).tolist())
         except (ArithmeticError, ValueError):  # as with `point`, an earlier non-finite row fails first
             Mat2C.rows(np.reshape(rows, (-1, 2, 2)))
             raise

@@ -31,7 +31,8 @@ import numpy as np
 from .algebra import (
     AlgCoords, Mat2C, _frozen_array, _frozen_rows, coeff_entries, format_float, to_coords)
 from .expmap import ProductExpParams, aligning_rotation, det_split, sinc_scaled, sinch
-from .subriemannian import _ZERO_LENGTH, DistanceBracket, _shoot_front, _shoot_search
+from .subriemannian import (
+    _EXACT_TIE_TOL, _EXACT_WIDTH, _ZERO_LENGTH, DistanceBracket, _shoot_front, _shoot_search)
 
 REGIME_TIMELIKE = "timelike-normal"
 REGIME_ISOTROPIC = "isotropic-normal"
@@ -434,12 +435,6 @@ CLASS_TIMELIKE = "timelike"
 CLASS_ISOTROPIC = "isotropic"
 CLASS_UNREACHABLE = "unreachable"
 CLASS_INDETERMINATE = "indeterminate"
-
-# Bracket width below which the distance estimate is treated as exact, making
-# the timelike/isotropic/unreachable trichotomy decidable.
-_EXACT_WIDTH = 1e-10
-_EXACT_TIE_TOL = 1e-9
-
 
 def _exact(bracket: DistanceBracket) -> bool:
     return bracket.width <= _EXACT_WIDTH and math.isfinite(bracket.upper)

@@ -23,12 +23,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import AlgCoords, Mat2C, _frozen_array, entry_coords, from_coords
-from .expmap import ProductExpParams, _frobenius_sq, exp_series, polar_decompose, su2_entries
+from .algebra import AlgCoords, Mat2C, _frozen_array, coeff_entries, entry_coords, from_coords
+from .expmap import (SMALL_W, ProductExpParams, _curve_coefficients, _curve_w, _frobenius_sq,
+                     exp_series, polar_decompose, su2_entries)
 
 _I2 = np.eye(2, dtype=complex)
 
-# The decision thresholds of `distance_shoot`, each named once.  The two
+# The decision thresholds of `distance_shoot` and of the causal class read
+# off its bracket (`sublorentzian`), each named once.  The two
 # scaled tests compare products of g1 with itself, whose rounding error is
 # about eps |g1|_F^2 (Higham, Accuracy and Stability of Numerical
 # Algorithms, SIAM 2002, ch. 3); |g1|_F^2 = 2 cosh|X| >= 2 on SL(2,C).
@@ -43,8 +45,12 @@ _ZERO_LENGTH = 1e-12
 # I: 48,000 float boosts with |X| <= 22 came within 1.9, and the benchmark
 # corpus's other targets sit at least 6.9e12 away.
 _BOOST_ROUNDING = 4.0
-# det g1 may miss 1 by this times max(1, |g1|_F^2 / 2): 1e-9 near SU(2), and
-# on long boosts far above det's own rounding error of eps |g1|_F^2.
+# det g1 may miss 1 by this many eps |g1|_F^2, its own rounding error: the
+# computed det of 1,800 float boost-rotations with |X| <= 20 (before and
+# after dividing by sqrt det) and of 2,000 geodesic endpoints with T <= 10
+# came within 2.6.  A det off by more is an input off SL(2,C), not rounding.
+_DET_ROUNDING = 8.0
+# ...but never by less than this, the tolerance of inputs written near SU(2).
 _UNIMODULAR_TOL = 1e-9
 # The polish runs only above this |X|: rotations (|X| <= 1e-15) can get no
 # certified witness, and nine decades above them is still far below any
@@ -53,22 +59,38 @@ _POLISH_MIN_LOWER = 1e-6
 # A polish trial point with T below this gets a flat residual 1e3 (its alpha is
 # noise): T >= |X| > _POLISH_MIN_LOWER for a witness, so none is cut off.
 _POLISH_ZERO_T = 1e-9
-# Roots that agree to this many decimals are one root: `root` solves to
-# 1e-13, so repeated solves of one root agree to far more.
+# A bracket at most this wide is exact, so the causal trichotomy is decided
+# outright: boost brackets are [|X|, |X|], while the narrowest searched
+# bracket of the 240 geodesic-built and boost-rotation targets of the
+# benchmark corpus (seeds 1-6) is 3.2e-4 wide.
+_EXACT_WIDTH = 1e-10
+# xi = ln det g and an exact eta tie (isotropic) when they agree to this
+# relative amount: each is known only to rounding, so an exact tie would never
+# be seen, and 1e-9 is still a hundred times below the default tol.
+_EXACT_TIE_TOL = 1e-9
+# The batched shooting solve (`_dogleg_rows`) stops a row when its trust
+# radius is below this times |x|, as MINPACK's `hybrd` does with xtol.
+_ROOT_XTOL = 1e-13
+# Roots that agree to this many decimals are one root: rows converge to
+# _ROOT_XTOL, so repeated solves of one root agree to far more.
 _ROOT_DIGITS = 9
+# Forward-difference step of the shooting Jacobian, relative to |x_j|:
+# sqrt(eps), MINPACK's `fdjac1` step with its default epsfcn.
+_FD_STEP = math.sqrt(_EPS)
+# A shooting row still open after this many dogleg steps fails.  On the 240
+# geodesic-built and boost-rotation targets of the benchmark corpus (seeds
+# 1-6), run to 150 steps, some row reaching the shortest certified root
+# converges by step 28 on every target; later rows mostly stall on a
+# non-root, and the batch runs until its last row stops.
+_DOGLEG_ITERATIONS = 40
+# The logarithm branches the multistart shoots on, in row order.
+_BRANCHES = (0, 1, -1, 2, -2, 3, -3)
 
 
-# The shooting solvers.  scipy.optimize takes longer to import than the rest
-# of the package together, and only the non-boost distance needs it, so it is
-# imported on the first solve.  `distance_shoot` and `_polish_candidate` call
-# these through the module globals, where a caller may replace them.
-def root(*args, **kwargs):
-    """`scipy.optimize.root`, imported on the call."""
-    from scipy.optimize import root as _root
-
-    return _root(*args, **kwargs)
-
-
+# The polish solver.  scipy.optimize takes longer to import than the rest of
+# the package together, and only the polish of a non-boost distance needs it,
+# so it is imported on the first polish.  `_polish_candidate` calls it through
+# the module globals, where a caller may replace it.
 def least_squares(*args, **kwargs):
     """`scipy.optimize.least_squares`, imported on the call."""
     from scipy.optimize import least_squares as _least_squares
@@ -77,12 +99,12 @@ def least_squares(*args, **kwargs):
 
 
 def __getattr__(name):
-    # `minimize` is unused here, but bench/spans.py wraps it by name, so the
-    # attribute still resolves (and only then imports scipy.optimize).
-    if name == "minimize":
-        from scipy.optimize import minimize
+    # `root` and `minimize` are unused here, but bench/spans.py wraps them by
+    # name, so the attributes still resolve (and only then import scipy.optimize).
+    if name in ("root", "minimize"):
+        import scipy.optimize
 
-        return minimize
+        return getattr(scipy.optimize, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -137,7 +159,7 @@ def boost_distance(x: AlgCoords) -> float:
 
 def _require_unimodular(g1: Mat2C) -> None:
     d = g1.det()
-    if abs(d - 1.0) > _UNIMODULAR_TOL * max(1.0, _frobenius_sq(g1) / 2.0):
+    if abs(d - 1.0) > max(_UNIMODULAR_TOL, _DET_ROUNDING * _EPS * _frobenius_sq(g1)):
         raise ValueError(f"target must be unimodular, det = {d}")
 
 
@@ -258,16 +280,172 @@ def _log_g_su2(g: tuple, c0: float, c1: float, c2: float, branch: int):
                     g10 * s00 + g11 * s10, g10 * s01 + g11 * s11, branch)
 
 
-def _fixed_point(c: np.ndarray, g: tuple, branch: int) -> list[float]:
-    """Shooting residual skew(log(g exp(c))) - c on a log branch; 1e6 where that log is None.
+def _fixed_point_rows(c: np.ndarray, g: tuple, branch: np.ndarray) -> np.ndarray:
+    """Shooting residual skew(log(g exp(c))) - c of each row of c, an (N, 3) array.
 
-    The list is `entry_coords(*L)[4:7] - c` by the same float operations."""
-    c0, c1, c2 = c.tolist()
-    L = _log_g_su2(g, c0, c1, c2, branch)
-    if L is None:
-        return [1e6, 1e6, 1e6]
-    a00, a01, a10, a11 = L
-    return [(a01 + a10).imag - c0, (a10 - a01).real - c1, (a00 - a11).imag - c2]
+    Row j takes log branch branch[j].  The closed forms of `su2_entries` and
+    `_log_sl2` on (N,) complex arrays, with g given by its four entries: a
+    gap below 1e-8 takes (M - mu I)/mu on branch 0 near +I, and a row whose
+    logarithm `_log_sl2` refuses (other branches there, and near -I) reads
+    1e6 in every component.
+    """
+    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    n = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    cs = np.cos(n / 2.0)
+    small = n < SMALL_W  # sin(n/2)/n as `sinc_scaled(n, 0.5)`
+    x2 = (n * 0.5) ** 2
+    s = np.where(small, 0.5 * (1.0 - x2 / 6.0 + x2 * x2 / 120.0),
+                 np.sin(n * 0.5) / np.where(small, 1.0, n))
+    s00 = cs + 1j * (s * c2)
+    s11 = cs - 1j * (s * c2)
+    s01 = -(s * c1) + 1j * (s * c0)
+    s10 = (s * c1) + 1j * (s * c0)
+    g00, g01, g10, g11 = g
+    m00 = g00 * s00 + g01 * s10
+    m01 = g00 * s01 + g01 * s11
+    m10 = g10 * s00 + g11 * s10
+    m11 = g10 * s01 + g11 * s11
+    half = (m00 + m11) / 2.0
+    disc = np.sqrt(half * half - 1.0)
+    mu_p = half + disc
+    mu_m = half - disc
+    swap = np.abs(mu_p) < np.abs(mu_m)
+    mu_p, mu_m = np.where(swap, mu_m, mu_p), np.where(swap, mu_p, mu_m)
+    gap = mu_p - mu_m
+    degenerate = np.abs(gap) < 1e-8
+    # The skew coordinates of L read q (m01 + m10), q (m10 - m01) and q (m00 - m11):
+    # q = 2 l_p / gap off the degenerate set, 1/mu on it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l_p = np.log(mu_p) + (2j * math.pi) * branch
+        q = np.where(degenerate, 1.0 / half, 2.0 * l_p / np.where(degenerate, 1.0, gap))
+    out = np.empty((len(c), 3))
+    out[:, 0] = (q * (m01 + m10)).imag - c0
+    out[:, 1] = (q * (m10 - m01)).real - c1
+    out[:, 2] = (q * (m00 - m11)).imag - c2
+    out[degenerate & ((branch != 0) | (half.real <= 0.0))] = 1e6
+    return out
+
+
+def _norm3(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+
+
+def _times(J: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J v on each row: J is (N, 3, 3), v (N, 3); summed term by term, not by BLAS."""
+    return J[:, :, 0] * v[:, 0:1] + J[:, :, 1] * v[:, 1:2] + J[:, :, 2] * v[:, 2:3]
+
+
+def _jacobian_rows(x: np.ndarray, f: np.ndarray, g: tuple, branch: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian (N, 3, 3) of `_fixed_point_rows` at x, where it reads f.
+
+    MINPACK's `fdjac1` step, h = sqrt(eps) |x_j| (sqrt(eps) at x_j = 0), with the
+    3N shifted points evaluated as one stack.
+    """
+    h = _FD_STEP * np.abs(x)
+    h[h == 0.0] = _FD_STEP
+    shifted = np.repeat(x[None], 3, axis=0)
+    for j in range(3):
+        shifted[j, :, j] += h[:, j]
+    fs = _fixed_point_rows(shifted.reshape(-1, 3), g, np.tile(branch, 3)).reshape(3, len(x), 3)
+    return ((fs - f) / h.T[:, :, None]).transpose(1, 2, 0)
+
+
+def _dogleg_step(J: np.ndarray, f: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Powell's dogleg step for J p = -f within |p| <= delta, on each row.
+
+    The Gauss-Newton step is solved by explicit cofactors (no LAPACK), so the
+    bits do not depend on a library's blocking.  A singular row takes the
+    steepest-descent leg alone.
+    """
+    j00, j01, j02 = J[:, 0, 0], J[:, 0, 1], J[:, 0, 2]
+    j10, j11, j12 = J[:, 1, 0], J[:, 1, 1], J[:, 1, 2]
+    j20, j21, j22 = J[:, 2, 0], J[:, 2, 1], J[:, 2, 2]
+    c00, c01, c02 = j11 * j22 - j12 * j21, j12 * j20 - j10 * j22, j10 * j21 - j11 * j20
+    c10, c11, c12 = j02 * j21 - j01 * j22, j00 * j22 - j02 * j20, j01 * j20 - j00 * j21
+    c20, c21, c22 = j01 * j12 - j02 * j11, j02 * j10 - j00 * j12, j00 * j11 - j01 * j10
+    det = j00 * c00 + j01 * c01 + j02 * c02
+    f0, f1, f2 = f[:, 0], f[:, 1], f[:, 2]
+    grad = J[:, 0, :] * f[:, 0:1] + J[:, 1, :] * f[:, 1:2] + J[:, 2, :] * f[:, 2:3]  # J^T f
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gn = -np.stack([c00 * f0 + c10 * f1 + c20 * f2,
+                        c01 * f0 + c11 * f1 + c21 * f2,
+                        c02 * f0 + c12 * f1 + c22 * f2], axis=1) / det[:, None]
+        gn_norm = _norm3(gn)
+        gn_ok = np.isfinite(gn_norm)
+        grad_norm = _norm3(grad)
+        jg_norm = _norm3(_times(J, grad))
+        sd = -((grad_norm / jg_norm) ** 2)[:, None] * grad  # the Cauchy point
+        sd_norm = _norm3(sd)
+        edge = -(delta / grad_norm)[:, None] * grad
+        # The point where the leg from sd to gn leaves the region |p| = delta.
+        d = gn - sd
+        a = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+        b = 2.0 * (sd[:, 0] * d[:, 0] + sd[:, 1] * d[:, 1] + sd[:, 2] * d[:, 2])
+        c = sd_norm * sd_norm - delta * delta
+        sq = np.sqrt(b * b - 4.0 * a * c)
+        tau = np.where(b > 0.0, -2.0 * c / (b + sq), (sq - b) / (2.0 * a))
+        dog = sd + tau[:, None] * d
+    p = np.where((gn_ok & (gn_norm <= delta))[:, None], gn,
+                 np.where((~gn_ok | (sd_norm >= delta))[:, None], edge, dog))
+    p[~np.isfinite(p).all(axis=1)] = 0.0  # no descent direction (grad = 0 or J grad = 0)
+    return p
+
+
+def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve `_fixed_point_rows` = 0 from every row of x0 at once: (x, converged).
+
+    Powell's hybrid method (Powell, A hybrid method for nonlinear equations,
+    1970) as MINPACK's `hybrd` runs it, on all rows together: a fresh
+    forward-difference Jacobian after each accepted step, and the trust
+    radius delta starting at 100 |x0| (100 at x0 = 0), cut to the length of
+    the first step.  Delta is halved when the actual over the predicted
+    reduction rho of |f|^2 is below 0.1, set to 2|p| when rho is within 0.1
+    of 1 and grown to at least 2|p| when rho exceeds 0.5; a step is taken
+    when rho >= 1e-4.  A row converges, as for `hybrd` with xtol =
+    _ROOT_XTOL, when f = 0 or delta <= _ROOT_XTOL |x|, and leaves the batch;
+    a row still open after _DOGLEG_ITERATIONS steps fails.  Temporaries hold
+    only the rows still open.
+    """
+    x = x0.copy()
+    idx = np.arange(len(x))
+    out = x.copy()
+    converged = np.zeros(len(x), dtype=bool)
+    f = _fixed_point_rows(x, g, branch)
+    J = _jacobian_rows(x, f, g, branch)
+    fnorm = _norm3(f)
+    xnorm = _norm3(x)
+    delta = np.where(xnorm > 0.0, 100.0 * xnorm, 100.0)
+    for it in range(_DOGLEG_ITERATIONS):
+        p = _dogleg_step(J, f, delta)
+        pnorm = _norm3(p)
+        if it == 0:
+            delta = np.minimum(delta, pnorm)
+        trial = x + p
+        f_trial = _fixed_point_rows(trial, g, branch)
+        fnorm_trial = _norm3(f_trial)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            actual = np.where(fnorm_trial < fnorm, 1.0 - (fnorm_trial / fnorm) ** 2, -1.0)
+            predicted = 1.0 - (_norm3(f + _times(J, p)) / fnorm) ** 2
+            rho = np.where(predicted > 0.0, actual / predicted, 0.0)
+        delta = np.where(rho < 0.1, 0.5 * delta,
+                         np.where(np.abs(rho - 1.0) <= 0.1, 2.0 * pnorm,
+                                  np.where(rho > 0.5, np.maximum(delta, 2.0 * pnorm), delta)))
+        step = rho >= 1e-4
+        if step.any():
+            x[step], f[step], fnorm[step] = trial[step], f_trial[step], fnorm_trial[step]
+            xnorm[step] = _norm3(x[step])
+            J[step] = _jacobian_rows(x[step], f[step], g, branch[step])
+        done = (fnorm == 0.0) | (delta <= _ROOT_XTOL * xnorm)
+        if done.any():
+            out[idx[done]] = x[done]
+            converged[idx[done]] = True
+            keep = ~done
+            x, f, J, fnorm, xnorm, delta, branch, idx = (
+                x[keep], f[keep], J[keep], fnorm[keep], xnorm[keep], delta[keep], branch[keep],
+                idx[keep])
+            if not len(idx):
+                break
+    return out, converged
 
 
 def _candidate(g1m: np.ndarray, v: np.ndarray, c: np.ndarray):
@@ -299,7 +477,8 @@ def distance_shoot(
 ) -> DistanceBracket:
     """Bracket the distance from the identity to a unimodular target.
 
-    g1 is unimodular when |det g1 - 1| <= 1e-9 max(1, |g1|_F^2 / 2).
+    g1 is unimodular when |det g1 - 1| <= max(1e-9, 8 eps |g1|_F^2), the
+    larger of a fixed floor and det's own rounding error.
     Strategy: positive definite Hermitian targets are exact.  g1 counts as
     one when the rotation factor k of its polar decomposition is within
     4 eps |g1|_F^2 of I (Frobenius): k is read off products of g1 with
@@ -311,12 +490,19 @@ def distance_shoot(
 
     over seeded multistarts and logarithm branches, each root giving a
     geodesic hitting g1 exactly at time T = |hermitian_part(log(g1 exp(c)))|.
-    Any geodesic reaching g1 at time T proves distance <= T, so the witness
-    is the shortest candidate whose endpoint residual is below tol, whatever
-    its length or |beta|.  The lower end is the projection bound |X| of the
-    one polar decomposition g1 = exp(X) k (`distance_lower_bound`), and that
-    one value is also the boost witness length (boost brackets are exactly
-    [|X|, |X|]), the rotation-fiber test and the polish gate.
+    The first `budget` (branch, start) pairs, branch-major over the branches
+    0, +-1, +-2, +-3, are solved together as one batch of rows by Powell's
+    dogleg trust-region method (`_dogleg_rows`).  Each converged root is
+    then re-evaluated on scalars and kept only if its geodesic's endpoint
+    residual is below tol.  Any geodesic reaching g1 at time T proves distance
+    <= T, so the witness is the shortest such candidate, whatever its
+    length or |beta|.  When that leaves the bracket wider than tol, a
+    bounded least-squares polish (`scipy.optimize.least_squares`, imported
+    on first use) refines one start seeded from the polar decomposition.
+    The lower end is the projection bound |X| of the one polar decomposition
+    g1 = exp(X) k (`distance_lower_bound`), and that one value is also the
+    boost witness length (boost brackets are exactly [|X|, |X|]), the
+    rotation-fiber test and the polish gate.
     tol must be finite and positive.  Deterministic for a fixed seed.
 
     tol has two roles: it certifies a witness's endpoint residual, and
@@ -376,44 +562,34 @@ def _shoot_search(g1: Mat2C, pd, lower: float, tol: float, budget: int,
                   seed: int) -> DistanceBracket:
     """The multistart and polish of `distance_shoot` on a target `_shoot_front` left open."""
     rng = np.random.default_rng(seed)
-    branches = (0, 1, -1, 2, -2, 3, -3)
-    n_starts = max(4, budget // len(branches))
+    n_starts = max(4, budget // len(_BRANCHES))
     starts = _shooting_starts(rng, n_starts - 1, 13.0)
+    # One row per (branch, start) pair, branch-major, the first `budget` of them.
+    branch = np.repeat(_BRANCHES, len(starts))[:budget]
     g1m = g1.m
     g = tuple(g1m.ravel().tolist())
+    roots, converged = _dogleg_rows(np.tile(starts, (len(_BRANCHES), 1))[:budget], g, branch)
 
     feasible: list[tuple] = []
-    attempts = 0
     seen_roots: set = set()
-
-    for branch in branches:
-        for c0 in starts:
-            if attempts >= budget:
-                break
-            attempts += 1
-
-            sol = root(_fixed_point, c0, args=(g, branch), method="hybr", tol=1e-13)
-            if not sol.success:
-                continue
-            key = (branch,) + tuple(np.round(sol.x, _ROOT_DIGITS))
-            if key in seen_roots:
-                continue
-            seen_roots.add(key)
-            L = _log_g_su2(g, *sol.x.tolist(), branch)
-            if L is None:
-                continue
-            cand = _candidate(g1m, np.array(entry_coords(*L)[1:4]), sol.x)
-            if cand is not None and cand[3] < tol:
-                feasible.append(cand)
-        # A bracket already tight to tolerance cannot improve further.
-        tight = bool(feasible) and min(f[0] for f in feasible) <= lower + tol
-        if tight:
-            break
+    for k in np.flatnonzero(converged).tolist():
+        x, b = roots[k], int(branch[k])
+        key = (b,) + tuple(np.round(x, _ROOT_DIGITS))
+        if key in seen_roots:
+            continue
+        seen_roots.add(key)
+        L = _log_g_su2(g, *x.tolist(), b)
+        if L is None:
+            continue
+        cand = _candidate(g1m, np.array(entry_coords(*L)[1:4]), x)
+        if cand is not None and cand[3] < tol:
+            feasible.append(cand)
+    tight = bool(feasible) and min(f[0] for f in feasible) <= lower + tol
 
     # Polish stage: the fixed-point Jacobian degenerates for targets near the
     # positive definite cone, so a start seeded from the polar decomposition
     # (boost X, su(2) part -log k) is refined by least squares on the endpoint
-    # residual.  Skipped when the bracket is already tight.
+    # residual.  Skipped when the bracket is already tight: it cannot improve.
     if not tight and lower > _POLISH_MIN_LOWER:
         log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
         if log_k is not None:
@@ -438,14 +614,21 @@ def _polish_candidate(g1m: np.ndarray, x0: np.ndarray, tol: float):
     endpoint gap; returns the candidate if its residual is below tol, else None.
     """
 
+    g1_entries = g1m.ravel()
+
     def residual_vec(x):
+        # sr_geodesic(SRGeodesicParams(v / T, x[3:] / T), T) - g1 by the same float
+        # operations, without building the three objects on every evaluation.
         v = x[:3]
         T = np.linalg.norm(v)
         if T < _POLISH_ZERO_T:
             return np.full(8, 1e3)
-        p = SRGeodesicParams(v / T, x[3:] / T)
-        gap = sr_geodesic(p, float(T)).m - g1m
-        return np.concatenate([gap.real.ravel(), gap.imag.ravel()])
+        a = np.concatenate(([0.0], v / T, x[3:] / T))
+        point = coeff_entries(*_curve_coefficients(a.tolist(), *_curve_w(a), float(T)))
+        gap = np.array(point) - g1_entries
+        if not np.isfinite(gap).all():
+            raise ValueError("matrix entries must be finite")
+        return np.concatenate([gap.real, gap.imag])
 
     # Keep the solve local: a box around the seed prevents the optimizer from
     # tunnelling into a different (longer) solution basin.

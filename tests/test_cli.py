@@ -218,6 +218,20 @@ class TestClassify:
         )
         assert code == 2
 
+    def test_non_unimodular_distance_exit_code(self, capsys):
+        # det = 1.21 on a boost of length 20, where det itself rounds to about 1e-7.
+        from sublorentz import ComplexAlgVec, exp_closed
+
+        d = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        b = exp_closed(ComplexAlgVec.from_reals([0.0, *(20.0 * d)]), 1.0)
+        off = json.dumps(Mat2C(1.1 * b.m).to_json())
+        code, out, err = run(capsys, "distance", "--matrix", off)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        code, out, _ = run(capsys, "distance", "--matrix", json.dumps(b.to_json()))
+        result = parse_payload(out)["result"]
+        assert code == 0 and result["lower"] == result["upper"]
+
     @pytest.mark.parametrize(
         "matrix",
         ['{"m": [[1,2],[3,4]]}', '{"m": [[[1,0]]]}', '{"m": "x"}'],

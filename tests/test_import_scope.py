@@ -1,7 +1,7 @@
 """Which commands load scipy: only those that run a solver.
 
 scipy.optimize takes longer to import than the rest of the package, and only
-the shooting stage of the sub-Riemannian distance (and the root finding of
+the least-squares polish of the sub-Riemannian distance (and the root finding of
 acceptance criterion 7) needs it.  Each check runs in a new interpreter, because the test
 process has long since imported scipy.
 """
@@ -34,7 +34,7 @@ def run(argv):
 # sha256 of the non-boost `distance` output below.  Its lower end is the
 # projection bound |X| = 2 * 0.45 = 0.9 of the polar factor, printed as
 # 0.8999999999999998.
-DISTANCE_SHA256 = "996c722de17c5becd20eaa2953890babf6eacdd4d05b0d276bf65ab0d898cbb4"
+DISTANCE_SHA256 = "b98ff339b1230757b8b21a3fefcd0eab5e52178b6599688b2576806f106eab4b"
 
 
 def _child(fresh_python, body: str, cwd=None):
@@ -68,7 +68,8 @@ def test_non_shooting_commands_load_no_scipy(fresh_python, tmp_path, readme_cli)
 
 
 def test_shooting_distance_loads_scipy_on_demand(fresh_python, capsys):
-    # A boost-rotation target: its distance is bracketed by shooting.
+    # A boost-rotation target: its distance is bracketed by shooting, and the
+    # bracket stays loose, so the polish runs.
     g = Mat2C(_boost(0.45) @ su2_exp([0.3, 1.1, -0.6]).m)
     argv = ["distance", "--matrix", json.dumps(g.to_json())]
     body = (f"import sublorentz.cli\nbefore = scipy_modules()\ncode, out = run({argv!r})\n"

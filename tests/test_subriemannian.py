@@ -38,6 +38,19 @@ _BOOST_ROTATION = Mat2C(np.array([[math.cosh(0.45), math.sinh(0.45)],
                         @ su2_exp([0.3, 1.1, -0.6]).m)
 
 
+def _count_rows(monkeypatch) -> list:
+    """Wrap the batched shooting solve; the list holds the row count of each call."""
+    rows = []
+    solve = subriemannian._dogleg_rows
+
+    def counting_solve(x0, *args):
+        rows.append(len(x0))
+        return solve(x0, *args)
+
+    monkeypatch.setattr(subriemannian, "_dogleg_rows", counting_solve)
+    return rows
+
+
 def _count_solves(monkeypatch, *names) -> dict:
     """Wrap the named `subriemannian` solvers; the dict counts their calls."""
     calls = dict.fromkeys(names, 0)
@@ -297,14 +310,15 @@ class TestDistanceShoot:
         for name in ("root", "least_squares", "minimize"):
             assert callable(getattr(subriemannian, name)), name
 
-    def test_every_shooting_solve_goes_through_the_module_root(self, monkeypatch):
-        calls = _count_solves(monkeypatch, "root")
+    def test_every_shooting_start_is_one_batched_row(self, monkeypatch):
+        rows = _count_rows(monkeypatch)
         br = distance_shoot(_BOOST_ROTATION)  # never tight
         assert not br.converged
-        assert calls["root"] == 7 * (240 // 7)  # every start on all seven log branches
+        assert rows == [7 * (240 // 7)]  # every start on all seven log branches, in one solve
 
     def test_su2_fiber_skips_the_multistart(self, monkeypatch):
-        calls = _count_solves(monkeypatch, "root", "least_squares")
+        rows = _count_rows(monkeypatch)
+        calls = _count_solves(monkeypatch, "least_squares")
         axis = np.array([0.3, 1.1, -0.6]) / np.linalg.norm([0.3, 1.1, -0.6])
         # A rotation by 1e-10 is no boost either, though its polar rotation is
         # within 1e-10 of I.
@@ -314,11 +328,11 @@ class TestDistanceShoot:
             br = distance_shoot(g1)
             assert (br.lower, br.upper, br.converged) == (distance_lower_bound(g1), math.inf, False)
             assert br.witness is None
-        assert calls == {"root": 0, "least_squares": 0}
+        assert rows == [] and calls == {"least_squares": 0}
         # Just off the fiber (boost 1e-4) the full multistart still runs.
         near = Mat2C(boost([0.2, -0.5, 0.8], 1e-4).m @ su2_exp(2.0 * axis).m)
         assert not distance_shoot(near).converged
-        assert calls["root"] == 7 * (240 // 7)
+        assert rows == [7 * (240 // 7)]
 
     def test_polish_refines_only_the_polar_seed(self, monkeypatch):
         # Small |beta|: the root solves leave the bracket loose, so the polish runs.
@@ -347,6 +361,15 @@ class TestDistanceShoot:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             distance_shoot(Mat2C(2.0 * np.eye(2)))
+        # det is checked on its own rounding scale, about eps |g1|_F^2 (1.1e-7 on
+        # this boost of length 20), with a floor of 1e-9 near SU(2).
+        long_boost = boost([0.3, -0.5, 0.8], 20.0)
+        for g1 in (Mat2C(1.1 * long_boost.m), Mat2C(1.000001 * long_boost.m),
+                   Mat2C(math.sqrt(1.0 + 2e-9) * np.eye(2))):
+            for f in (distance_shoot, distance_lower_bound):
+                with pytest.raises(ValueError, match="unimodular"):
+                    f(g1)
+        assert distance_lower_bound(Mat2C(math.sqrt(1.0 + 5e-10) * np.eye(2))) == 0.0
         for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
                 distance_shoot(Mat2C.identity(), tol=tol)
@@ -451,6 +474,20 @@ def _entries(m: np.ndarray) -> tuple:
     return tuple(m.ravel().tolist())
 
 
+def _fixed_point(c: np.ndarray, g: tuple, branch: int) -> list[float]:
+    """Scalar oracle of `subriemannian._fixed_point_rows`: one row on Python complex scalars.
+
+    skew(log(g exp(c))) - c on a log branch, as `entry_coords(*L)[4:7] - c` by the
+    same float operations; 1e6 where `_log_sl2` gives no logarithm.
+    """
+    c0, c1, c2 = c.tolist()
+    L = subriemannian._log_g_su2(g, c0, c1, c2, branch)
+    if L is None:
+        return [1e6, 1e6, 1e6]
+    a00, a01, a10, a11 = L
+    return [(a01 + a10).imag - c0, (a10 - a01).real - c1, (a00 - a11).imag - c2]
+
+
 def _log_targets():
     rng = np.random.default_rng(61)
     out = []
@@ -481,7 +518,7 @@ class TestShootingLog:
                 assert abs(L[0, 0] + L[1, 1]) < 1e-12, kind
                 err = np.max(np.abs(exp_series(Mat2C(L)).m - M)) / np.max(np.abs(M))
                 assert err < 1e-10, (kind, c, err)
-                res = subriemannian._fixed_point(c, g, branch)
+                res = _fixed_point(c, g, branch)
                 assert np.max(np.abs(res - (coords(L)[4:7] - c))) < 1e-12, kind
 
     @pytest.mark.parametrize("branch", [b for b in BRANCHES if b != 0])
@@ -528,11 +565,11 @@ class TestShootingLog:
         assert not calls, "branch 0 takes the closed form (M - mu I)/mu, not logm"
         assert np.max(np.abs(L - (g1 - np.eye(2)))) < 1e-15  # log(I + N) = N
         assert np.max(np.abs(exp_series(Mat2C(L)).m - g1)) < 1e-15
-        res = subriemannian._fixed_point(c, g, 0)
+        res = _fixed_point(c, g, 0)
         assert np.max(np.abs(res - (coords(L)[4:7] - c))) < 1e-15
         for branch in (1, -1, 2, -2, 3, -3):
             assert subriemannian._log_g_su2(g, 0.0, 0.0, 0.0, branch) is None
-            assert np.array_equal(subriemannian._fixed_point(c, g, branch), np.full(3, 1e6))
+            assert np.array_equal(_fixed_point(c, g, branch), np.full(3, 1e6))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_root_on_the_su2_fiber_gives_a_witness(self, seed):
@@ -542,15 +579,14 @@ class TestShootingLog:
         g = _entries(g1.m)
         tol = 1e-7
         starts = subriemannian._shooting_starts(rng, 240 // 7 - 1, 13.0)
-        for branch in self.BRANCHES:
-            for c0 in starts:
-                sol = subriemannian.root(subriemannian._fixed_point, c0, args=(g, branch),
-                                         method="hybr", tol=1e-13)
-                L = subriemannian._log_g_su2(g, *sol.x.tolist(), branch)
-                if not sol.success or L is None:
-                    continue
-                cand = subriemannian._candidate(g1.m, np.array(entry_coords(*L)[1:4]), sol.x)
-                assert cand is None or cand[3] >= tol, (branch, c0, cand)
+        branch = np.repeat(self.BRANCHES, len(starts))
+        roots, converged = subriemannian._dogleg_rows(np.tile(starts, (7, 1)), g, branch)
+        for x, b in zip(roots[converged], branch[converged].tolist()):
+            L = subriemannian._log_g_su2(g, *x.tolist(), b)
+            if L is None:
+                continue
+            cand = subriemannian._candidate(g1.m, np.array(entry_coords(*L)[1:4]), x)
+            assert cand is None or cand[3] >= tol, (b, x, cand)
 
     @pytest.mark.parametrize("b", [0.0, 0.3])
     def test_minus_identity_has_no_canonical_log(self, b):
@@ -561,8 +597,70 @@ class TestShootingLog:
         for branch in self.BRANCHES:
             assert subriemannian._log_sl2(*_entries(M), branch) is None
             assert subriemannian._log_g_su2(_entries(M), 0.0, 0.0, 0.0, branch) is None
-            assert np.array_equal(subriemannian._fixed_point(c, _entries(M), branch),
+            assert np.array_equal(_fixed_point(c, _entries(M), branch),
                                   np.full(3, 1e6))
+
+
+class TestBatchedShooting:
+    """The batched residual against the scalar oracle, and the batched solve's witnesses."""
+
+    @staticmethod
+    def _agree(g, c, branch):
+        got = subriemannian._fixed_point_rows(c, g, branch)
+        for row, x, b in zip(got, c, branch.tolist()):
+            want = np.array(_fixed_point(x, g, b))
+            assert (row == 1e6).all() == (want == 1e6).all(), (x, b)
+            assert np.max(np.abs(row - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), (x, b)
+
+    def test_residual_matches_the_scalar_oracle(self):
+        rng = np.random.default_rng(63)
+        for kind, g1 in _log_targets():
+            n = 210
+            c = rng.normal(size=(n, 3))
+            c *= (rng.uniform(0.0, 13.0, n) / np.linalg.norm(c, axis=1))[:, None]
+            self._agree(_entries(g1.m), c, np.repeat(TestShootingLog.BRANCHES, n // 7))
+
+    @pytest.mark.parametrize("b", [0.0, 1e-9, 0.3])
+    def test_residual_on_degenerate_eigenvalues(self, b):
+        # Gap 0 at +I + N (branch 0 only) and at -I + N (no branch), and a gap
+        # of 2e-10 on a diagonal target: `_log_sl2`'s closed form and sentinel rows.
+        c = np.zeros((7, 3))
+        branch = np.array(TestShootingLog.BRANCHES)
+        for M in ([[1.0, b], [0.0, 1.0]], [[-1.0, b], [0.0, -1.0]],
+                  [[1.0 + 1e-10, b], [0.0, 1.0 / (1.0 + 1e-10)]]):
+            g = _entries(np.array(M, dtype=complex))
+            self._agree(g, c, branch)
+            sentinel = (subriemannian._fixed_point_rows(c, g, branch) == 1e6).all(axis=1)
+            assert sentinel.tolist() == [M[0][0] < 0 or k != 0 for k in branch.tolist()]
+        # g exp(c) = -I for c on a sphere of radius 2 pi: every branch refuses it.
+        rng = np.random.default_rng(65)
+        c = rng.normal(size=(7, 3))
+        c *= (2.0 * math.pi / np.linalg.norm(c, axis=1))[:, None]
+        self._agree(_entries(np.eye(2, dtype=complex)), c, branch)
+        assert (subriemannian._fixed_point_rows(c, _entries(np.eye(2)), branch) == 1e6).all()
+
+    # Boost-rotation targets of the benchmark corpus (`bench/workloads.py`
+    # `classify_corpus(sl, seed, 60)[i]` for (seed, i) = (1, 23), (4, 37), (5,
+    # 29)) whose shortest witness lies on log branch -1 or +1 and is reached by
+    # few starts, with the upper end `root(hybr)` shooting gave them.
+    _HARD_TARGETS = [
+        ((1.2522078821158245 + 0.010845863079371982j), (-0.6702907327614148 + 0.990914157361231j),
+         (-0.6051835881246332 - 0.23174901936390677j), (1.3027559754782494 - 0.3661335188454423j),
+         2.7394034134314134),
+        ((1.8840882389213753 + 0.4582105217078317j), (0.1889350958999574 + 0.2271902977959499j),
+         (0.6188515395902877 - 0.37462542844768826j), (0.6108735907188316 - 0.1115083296207056j),
+         2.750438155521228),
+        ((0.9132682710170578 - 0.20593528727220484j), (-0.4517007012056109 + 0.6752519975125678j),
+         (-0.8449785284889353 + 0.05866503668811032j), (1.538700865208624 - 0.30680981877415336j),
+         3.3439332911937623),
+    ]
+
+    @pytest.mark.parametrize("target", _HARD_TARGETS)
+    def test_finds_the_hard_witnesses(self, target):
+        *entries, upper = target
+        br = distance_shoot(Mat2C(np.reshape(entries, (2, 2))))
+        assert br.upper <= upper + 1e-9
+        assert br.witness.residual < 1e-7
 
 
 class TestUnconvergedBracket:
