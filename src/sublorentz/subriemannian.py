@@ -74,8 +74,8 @@ _ROOT_XTOL = 1e-13
 # Roots that agree to this many decimals are one root: rows converge to
 # _ROOT_XTOL, so repeated solves of one root agree to far more.
 _ROOT_DIGITS = 9
-# Forward-difference step of the shooting Jacobian, relative to |x_j|:
-# sqrt(eps), MINPACK's `fdjac1` step with its default epsfcn.
+# Forward-difference step of the shooting Jacobian, relative to |x_j|, and of
+# the polish's, relative to max(1, |x_j|): sqrt(eps), MINPACK's `fdjac1` step.
 _FD_STEP = math.sqrt(_EPS)
 # A shooting row still open after this many dogleg steps fails.  On the 240
 # geodesic-built and boost-rotation targets of the benchmark corpus (seeds
@@ -85,17 +85,11 @@ _FD_STEP = math.sqrt(_EPS)
 _DOGLEG_ITERATIONS = 40
 # The logarithm branches the multistart shoots on, in row order.
 _BRANCHES = (0, 1, -1, 2, -2, 3, -3)
-
-
-# The polish solver.  scipy.optimize takes longer to import than the rest of
-# the package together, and only the polish of a non-boost distance needs it,
-# so it is imported on the first polish.  `_polish_candidate` calls it through
-# the module globals, where a caller may replace it.
-def least_squares(*args, **kwargs):
-    """`scipy.optimize.least_squares`, imported on the call."""
-    from scipy.optimize import least_squares as _least_squares
-
-    return _least_squares(*args, **kwargs)
+# The polish (`least_squares`) stops when a step moves x, or an accepted step
+# lowers |gap|^2, by at most _LM_TOL relative, or after _LM_MAX_NFEV gap
+# evaluations (1 of 84 certifying polishes over 260 targets used them all).
+_LM_TOL = 1e-15
+_LM_MAX_NFEV = 400
 
 
 def __getattr__(name):
@@ -497,8 +491,8 @@ def distance_shoot(
     residual is below tol.  Any geodesic reaching g1 at time T proves distance
     <= T, so the witness is the shortest such candidate, whatever its
     length or |beta|.  When that leaves the bracket wider than tol, a
-    bounded least-squares polish (`scipy.optimize.least_squares`, imported
-    on first use) refines one start seeded from the polar decomposition.
+    bounded Levenberg-Marquardt polish (`least_squares`) refines one start
+    seeded from the polar decomposition.
     The lower end is the projection bound |X| of the one polar decomposition
     g1 = exp(X) k (`distance_lower_bound`), and that one value is also the
     boost witness length (boost brackets are exactly [|X|, |X|]), the
@@ -607,13 +601,42 @@ def _shoot_search(g1: Mat2C, pd, lower: float, tol: float, budget: int,
     return DistanceBracket(lower, upper, upper - lower <= tol, witness)
 
 
+def least_squares(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Minimise |fun(x)|^2 over the box lo < x < hi from x0 inside it: the polish.
+
+    Levenberg-Marquardt (More, LNM 630, 1978): the step p solves
+    (J^T J + lam diag(J^T J)) p = -J^T f for a forward-difference J, and lam
+    falls tenfold after a step that lowers the cost, else rises tenfold.  A
+    step leaving the box stops 99 % of the way to its edge (clipped instead,
+    one corpus target's steps crawled along an edge to no witness).
+    """
+    x, f, lam, nfev, J, stop = x0, fun(x0), 1e-3, 1, None, False
+    while nfev < _LM_MAX_NFEV and not stop:
+        if J is None:
+            h = _FD_STEP * np.maximum(1.0, np.abs(x))
+            J = np.column_stack([(fun(x + e) - f) / h[j] for j, e in enumerate(np.diag(h))])
+            A, nfev = J.T @ J, nfev + len(x)
+        p = -np.linalg.solve(A + lam * np.diag(np.diag(A)), J.T @ f)
+        room = np.divide(np.where(p > 0.0, hi - x, x - lo), np.abs(p),
+                         out=np.full(len(p), np.inf), where=p != 0.0)
+        trial = x + min(1.0, 0.99 * float(room.min())) * p
+        f_trial, nfev = fun(trial), nfev + 1
+        cost, cost_trial = f @ f, f_trial @ f_trial
+        stop = np.linalg.norm(trial - x) <= _LM_TOL * np.linalg.norm(x)
+        if cost_trial < cost:
+            stop |= cost - cost_trial <= _LM_TOL * cost
+            x, f, lam, J = trial, f_trial, 0.1 * lam, None
+        else:
+            lam *= 10.0
+    return x
+
+
 def _polish_candidate(g1m: np.ndarray, x0: np.ndarray, tol: float):
     """Refine a packed candidate x = (T*alpha, T*beta) on the endpoint residual.
 
-    Bounded trust-region least squares on the 8 real components of the
-    endpoint gap; returns the candidate if its residual is below tol, else None.
+    Bounded Levenberg-Marquardt (`least_squares`) on the 8 real components of
+    the endpoint gap; returns the candidate if its residual is below tol, else None.
     """
-
     g1_entries = g1m.ravel()
 
     def residual_vec(x):
@@ -634,10 +657,8 @@ def _polish_candidate(g1m: np.ndarray, x0: np.ndarray, tol: float):
     # tunnelling into a different (longer) solution basin.
     radius = 0.35 + 0.1 * float(np.linalg.norm(x0))
     try:
-        sol = least_squares(residual_vec, x0, method="trf",
-                            bounds=(x0 - radius, x0 + radius),
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-        cand = _candidate(g1m, sol.x[:3], sol.x[3:])
+        x = least_squares(residual_vec, x0, x0 - radius, x0 + radius)
+        cand = _candidate(g1m, x[:3], x[3:])
     except Exception:
         return None
     return cand if cand is not None and cand[3] < tol else None

@@ -256,11 +256,21 @@ def _osn_boundary_margin(av, bv) -> float:
     return min(qs)
 
 
+def _bisect(f, a: float, b: float) -> float:
+    """Root of f in [a, b] (one sign change): bisect until the midpoint is an end."""
+    fa, fb = f(a), f(b)
+    while a < (m := 0.5 * (a + b)) < b:
+        fm = f(m)
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
+
+
 @_criterion(7, "hermitian-classifier", 30.0)
 def criterion_7(res: CriterionResult) -> None:
     """Hermitian-endpoint classifier against the series-oracle defect, 1000 draws."""
-    from scipy.optimize import brentq  # the one criterion that needs scipy
-
     rng = np.random.default_rng(1707)
     draws = []
     for _ in range(500):  # generic draws, almost surely non-Hermitian
@@ -273,20 +283,16 @@ def criterion_7(res: CriterionResult) -> None:
     for _ in range(100):  # proportional triple, y = 0 branch
         x = rng.uniform(0.2, 1.5)
         lam = math.tanh(x) / x
-        s = brentq(lambda u: math.tan(u) - lam * u, math.pi + 1e-6, 1.5 * math.pi - 1e-6,
-                   xtol=1e-15, rtol=8.9e-16)
-        beta = 2.0 * s
+        beta = 2.0 * _bisect(lambda u: math.tan(u) - lam * u, math.pi + 1e-6, 1.5 * math.pi - 1e-6)
         alpha = math.sqrt(beta * beta + 4.0 * x * x)
         u1, u2 = _orthonormal_pair(rng)
         draws.append((alpha * u1, beta * u2))
     for _ in range(50):  # proportional triple with x*y != 0 (skewed pair)
         x = rng.uniform(0.2, 1.2)
         lam = math.tanh(x) / x
-        y = brentq(lambda u: math.tan(u) - lam * u, math.pi + 1e-6, 1.5 * math.pi - 1e-6,
-                   xtol=1e-15, rtol=8.9e-16)
-        s = brentq(lambda u: math.tan(u) - lam * u, 2 * math.pi + 1e-6,
-                   2.5 * math.pi - 1e-6, xtol=1e-15, rtol=8.9e-16)
-        beta = 2.0 * s
+        y = _bisect(lambda u: math.tan(u) - lam * u, math.pi + 1e-6, 1.5 * math.pi - 1e-6)
+        beta = 2.0 * _bisect(lambda u: math.tan(u) - lam * u, 2 * math.pi + 1e-6,
+                             2.5 * math.pi - 1e-6)
         alpha = math.sqrt(beta * beta + 4.0 * (x * x - y * y))
         a4 = 4.0 * x * y / alpha
         a5 = math.sqrt(beta * beta - a4 * a4)
@@ -301,8 +307,7 @@ def criterion_7(res: CriterionResult) -> None:
         alpha = math.sqrt(beta**2 - (2 * k + 1) ** 2 * math.pi**2)
         u1, u2 = _orthonormal_pair(rng)
         draws.append((alpha * u1, beta * u2))
-    sroot1 = brentq(lambda u: math.tan(u) - u, math.pi + 1e-6, 1.5 * math.pi - 1e-6,
-                    xtol=1e-15, rtol=8.9e-16)
+    sroot1 = _bisect(lambda u: math.tan(u) - u, math.pi + 1e-6, 1.5 * math.pi - 1e-6)
     for _ in range(100):  # tangent fixed point: |alpha| = beta, alpha . beta = 0
         u1, u2 = _orthonormal_pair(rng)
         beta = 2.0 * sroot1
@@ -325,9 +330,8 @@ def criterion_7(res: CriterionResult) -> None:
 
     beta_star = 2.0 * sroot1
     res.check("root-in-(pi,3pi)", math.pi < beta_star < 3.0 * math.pi, beta_star)
-    report = hermitian_endpoint_check(
-        np.array([beta_star, 0.0, 0.0]), np.array([0.0, 0.0, beta_star])
-    )
+    report = hermitian_endpoint_check(np.array([beta_star, 0.0, 0.0]),
+                                      np.array([0.0, 0.0, beta_star]))
     res.check("root-case-tagged", report.case == "tangent-fixed-point", report.case)
     res.check("root-case-defect<1e-9", report.residual < 1e-9, report.residual)
 

@@ -1,8 +1,7 @@
-"""Which commands load scipy: only those that run a solver.
+"""No command loads scipy.
 
-scipy.optimize takes longer to import than the rest of the package, and only
-the least-squares polish of the sub-Riemannian distance (and the root finding of
-acceptance criterion 7) needs it.  Each check runs in a new interpreter, because the test
+numpy is the one runtime dependency; the tests keep scipy only as an
+independent oracle.  Each check runs in a new interpreter, because the test
 process has long since imported scipy.
 """
 
@@ -47,6 +46,12 @@ def _boost(r: float) -> np.ndarray:
     return np.array([[math.cosh(r), math.sinh(r)], [math.sinh(r), math.cosh(r)]])
 
 
+# `distance` on a boost-rotation target: its distance is bracketed by
+# shooting, and the bracket stays loose, so the polish runs.
+SHOOTING_DISTANCE = ["distance", "--matrix",
+                     json.dumps(Mat2C(_boost(0.45) @ su2_exp([0.3, 1.1, -0.6]).m).to_json())]
+
+
 def test_package_import_loads_no_scipy(fresh_python):
     body = "import sublorentz, sublorentz.cli\nprint(json.dumps(scipy_modules()))"
     assert _child(fresh_python, body) == []
@@ -67,16 +72,28 @@ def test_non_shooting_commands_load_no_scipy(fresh_python, tmp_path, readme_cli)
         assert loaded == [], argv
 
 
-def test_shooting_distance_loads_scipy_on_demand(fresh_python, capsys):
-    # A boost-rotation target: its distance is bracketed by shooting, and the
-    # bracket stays loose, so the polish runs.
-    g = Mat2C(_boost(0.45) @ su2_exp([0.3, 1.1, -0.6]).m)
-    argv = ["distance", "--matrix", json.dumps(g.to_json())]
-    body = (f"import sublorentz.cli\nbefore = scipy_modules()\ncode, out = run({argv!r})\n"
-            "print(json.dumps([before, 'scipy.optimize' in sys.modules, code, out]))")
-    before, loaded, code, out = _child(fresh_python, body)
-    assert before == [] and loaded and code == 0
+def test_shooting_distance_loads_no_scipy(fresh_python, capsys):
+    body = (f"code, out = run({SHOOTING_DISTANCE!r})\n"
+            "print(json.dumps([scipy_modules(), code, out]))")
+    loaded, code, out = _child(fresh_python, body)
+    assert loaded == [] and code == 0
     # Byte for byte what the test process prints, with scipy long loaded.
-    assert main(argv) == 0
+    assert main(SHOOTING_DISTANCE) == 0
     assert capsys.readouterr().out == out
     assert hashlib.sha256(out.encode()).hexdigest() == DISTANCE_SHA256
+
+
+def test_commands_run_with_scipy_blocked(fresh_python, tmp_path, readme_cli, capsys,
+                                         monkeypatch):
+    # sys.modules["scipy"] = None makes every scipy import fail.  The README's
+    # CLI block, a shooting distance and criterion 7 (its roots by bisection)
+    # must still exit 0 and print what the test process prints.
+    commands = readme_cli + [SHOOTING_DISTANCE, ["validate", "--only", "7"]]
+    body = ("sys.modules['scipy'] = None\n"
+            f"print(json.dumps([run(argv) for argv in {commands!r}]))")
+    blocked = _child(fresh_python, body, cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv, (code, out) in zip(commands, blocked, strict=True):
+        assert code == 0, argv
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == out, argv

@@ -341,7 +341,35 @@ class TestDistanceShoot:
                    [0.0018626643585940663, -0.001999478720363208, 0.0009483277950850703])
         br = distance_shoot(sr_geodesic(p, 1.1672458844635885))
         assert calls["least_squares"] == 1
-        assert br.upper.hex() == "0x1.2ad0a05429629p+0"
+        assert br.upper.hex() == "0x1.2ad0a0542963fp+0"
+
+    # Small-|beta| geodesics whose only witness is the polished one: 45 of 120
+    # drawn as a ~ N(0,1)^3, b ~ N(0,1)^3 10^U(-6,-1), T ~ U(0.3, 2) are.
+    @pytest.mark.parametrize("alpha, beta, T", [
+        ([-0.5285515219170865, -0.6662913639917201, 0.5260124589296197],
+         [0.00011892469144845977, 3.5126963856089e-05, -0.000310057868707697], 1.240945498526637),
+        ([0.11485746816179351, -0.7656691458308971, -0.6328969277299797],
+         [0.01499382835572552, -0.01141300030588943, -0.0004596337963304443], 0.5625838378044477),
+        ([0.9073889848172207, -0.3362041320318375, -0.25221421815015194],
+         [0.0013767202456485626, 0.0033044222989145164, -0.0011823619119331547],
+         1.8456048337839353),
+        ([-0.31857907711485284, -0.3491543108575969, 0.8812483411809666],
+         [0.0020556118621029213, 0.0002740501445302031, -0.001404447072656122],
+         0.9484834779772728),
+        ([-0.7251680106126379, -0.05264964097079433, 0.6865561679059883],
+         [1.4408236445871336e-05, 2.6415386623353744e-05, 9.792697053114462e-06],
+         1.8275956271732723),
+    ])
+    def test_polish_finds_the_only_witness(self, monkeypatch, alpha, beta, T):
+        target = sr_geodesic(params(alpha, beta), T)
+        with monkeypatch.context() as m:
+            m.setattr(subriemannian, "_polish_candidate", lambda *args: None)
+            assert distance_shoot(target).upper == math.inf  # the multistart alone
+        tol = 1e-7
+        br = distance_shoot(target, tol=tol)
+        w = br.witness
+        assert br.upper <= T + 1e-9
+        assert float(np.max(np.abs(sr_geodesic(w.params, w.T).m - target.m))) < tol
 
     def test_shooting_builds_few_matrices(self, monkeypatch):
         # The fixed-point residual works on complex scalars; a Mat2C per
