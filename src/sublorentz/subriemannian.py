@@ -18,6 +18,7 @@ solution above.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -74,8 +75,7 @@ _ROOT_XTOL = 1e-13
 # Roots that agree to this many decimals are one root: rows converge to
 # _ROOT_XTOL, so repeated solves of one root agree to far more.
 _ROOT_DIGITS = 9
-# Forward-difference step of the shooting Jacobian, relative to |x_j|, and of
-# the polish's, relative to max(1, |x_j|): sqrt(eps), MINPACK's `fdjac1` step.
+# The polish's forward-difference step, relative to max(1, |x_j|): sqrt(eps), MINPACK's `fdjac1`.
 _FD_STEP = math.sqrt(_EPS)
 # A shooting row still open after this many dogleg steps fails.  On the 240
 # geodesic-built and boost-rotation targets of the benchmark corpus (seeds
@@ -274,50 +274,72 @@ def _log_g_su2(g: tuple, c0: float, c1: float, c2: float, branch: int):
                     g10 * s00 + g11 * s10, g10 * s01 + g11 * s11, branch)
 
 
-def _fixed_point_rows(c: np.ndarray, g: tuple, branch: np.ndarray) -> np.ndarray:
-    """Shooting residual skew(log(g exp(c))) - c of each row of c, an (N, 3) array.
+# I and `su2_entries`' E_j (exp(c) = cos(|c|/2) I + sin(|c|/2)/|c| sum_j c_j E_j): g E_j is exact.
+_SU2_UNITS = np.array([_I2, [[0, 1j], [1j, 0]], [[0, -1], [1, 0]], [[1j, 0], [0, -1j]]])
+# dq/du, u = mu^2 - 1, on branch 0 near mu = +1 (q = asinh(d)/d, d^2 = u, which 1/mu
+# matches to rounding on the degenerate set), highest term first: (1 - mu q)/u cancels
+# there, to about eps/(4|d|^3), while for |u| < 1e-2 the truncation stays below 2e-13.
+_DQ_SERIES = (693 / 6656, -315 / 2816, 35 / 288, -15 / 112, 3 / 20, -1 / 6)
+_DQ_SERIES_RADIUS = 1e-2
 
-    Row j takes log branch branch[j].  The closed forms of `su2_entries` and
-    `_log_sl2` on (N,) complex arrays, with g given by its four entries: a
-    gap below 1e-8 takes (M - mu I)/mu on branch 0 near +I, and a row whose
-    logarithm `_log_sl2` refuses (other branches there, and near -I) reads
-    1e6 in every component.
+
+@functools.lru_cache(maxsize=4)
+def _skew_functionals(g: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """G = F(g) and K_j = F(g E_j) of `_fixed_point_rows`, once per target."""
+    (m00, m01), (m10, m11) = (np.reshape(g, (2, 2)) @ _SU2_UNITS).transpose(1, 2, 0)  # g, g E_j
+    FK = np.stack([m01 + m10, 1j * (m10 - m01), m00 - m11, (m00 + m11) / 2.0], axis=1)
+    FK.flags.writeable = False  # every caller shares these arrays through the cache
+    return FK[0], FK[1:]
+
+
+def _fixed_point_rows(c: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shooting residual r = skew(log(g exp(c))) - c of each row of c, (N, 3),
+    and its exact Jacobian dr/dc, (N, 3, 3), from one pass; sums term by term.
+
+    Row j takes log branch branch[j]; g is given by its four entries.  The
+    functionals F = (P, mu) of M, P = (m01 + m10, i (m10 - m01), m00 - m11) and
+    mu = tr M / 2, are F = cs G + s (c.K) on M = g exp(c) (`_SU2_UNITS`; cs =
+    cos(n/2), s = sin(n/2)/n, n = |c|), G = F(g), K_j = F(g E_j); L = q (M - mu
+    I) has skew coordinates Im(q P), so r = Im(q P) - c with q = 2 l_p / gap
+    (`_log_sl2`), or 1/mu where the gap is below 1e-8 on branch 0 near +I.  Rows
+    `_log_sl2` refuses (other branches there, and near -I) read r = 1e6, J = 0.
+    dF/dc_j = c_j (t (c.K) - (s/2) G) + s K_j, t = (cs/2 - s)/n^2 (-1/24 at
+    n = 0), and q' = (1 - mu q)/(mu^2 - 1), or `_DQ_SERIES` on branch 0 near +I
+    (degenerate set included), so J_ij = Im(q' dmu_j P_i + q dP_ij) - delta_ij.
     """
-    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    G, K = _skew_functionals(g)
+    c0, c1, c2 = c[:, 0:1], c[:, 1:2], c[:, 2:3]
     n = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     cs = np.cos(n / 2.0)
     small = n < SMALL_W  # sin(n/2)/n as `sinc_scaled(n, 0.5)`
     x2 = (n * 0.5) ** 2
     s = np.where(small, 0.5 * (1.0 - x2 / 6.0 + x2 * x2 / 120.0),
                  np.sin(n * 0.5) / np.where(small, 1.0, n))
-    s00 = cs + 1j * (s * c2)
-    s11 = cs - 1j * (s * c2)
-    s01 = -(s * c1) + 1j * (s * c0)
-    s10 = (s * c1) + 1j * (s * c0)
-    g00, g01, g10, g11 = g
-    m00 = g00 * s00 + g01 * s10
-    m01 = g00 * s01 + g01 * s11
-    m10 = g10 * s00 + g11 * s10
-    m11 = g10 * s01 + g11 * s11
-    half = (m00 + m11) / 2.0
-    disc = np.sqrt(half * half - 1.0)
-    mu_p = half + disc
-    mu_m = half - disc
+    t = np.where(small, -1.0 / 24.0, (0.5 * cs - s) / np.where(small, 1.0, n * n))
+    Z = c0 * K[0] + c1 * K[1] + c2 * K[2]
+    F = cs * G + s * Z
+    dF = (t * Z - (0.5 * s) * G)[:, :, None] * c[:, None, :] + s[:, :, None] * K.T
+    P, half = F[:, :3], F[:, 3]
+    u = half * half - 1.0
+    disc = np.sqrt(u)
+    mu_p, mu_m = half + disc, half - disc
     swap = np.abs(mu_p) < np.abs(mu_m)
     mu_p, mu_m = np.where(swap, mu_m, mu_p), np.where(swap, mu_p, mu_m)
     gap = mu_p - mu_m
     degenerate = np.abs(gap) < 1e-8
-    # The skew coordinates of L read q (m01 + m10), q (m10 - m01) and q (m00 - m11):
-    # q = 2 l_p / gap off the degenerate set, 1/mu on it.
     with np.errstate(divide="ignore", invalid="ignore"):
         l_p = np.log(mu_p) + (2j * math.pi) * branch
         q = np.where(degenerate, 1.0 / half, 2.0 * l_p / np.where(degenerate, 1.0, gap))
-    out = np.empty((len(c), 3))
-    out[:, 0] = (q * (m01 + m10)).imag - c0
-    out[:, 1] = (q * (m10 - m01)).real - c1
-    out[:, 2] = (q * (m00 - m11)).imag - c2
-    out[degenerate & ((branch != 0) | (half.real <= 0.0))] = 1e6
-    return out
+        dq = np.where(degenerate, 0.0, (1.0 - half * q) / u)  # the series or J = 0 there
+    near = (branch == 0) & (np.abs(u) < _DQ_SERIES_RADIUS) & (half.real > 0.0)
+    if near.any():
+        dq[near] = 2.0 * half[near] * np.polyval(_DQ_SERIES, u[near])
+    f = (q[:, None] * P).imag - c
+    J = ((dq[:, None] * P)[:, :, None] * dF[:, 3][:, None, :] + q[:, None, None] * dF[:, :3]).imag
+    J -= np.eye(3)
+    refused = degenerate & ((branch != 0) | (half.real <= 0.0))
+    f[refused], J[refused] = 1e6, 0.0
+    return f, J
 
 
 def _norm3(v: np.ndarray) -> np.ndarray:
@@ -327,21 +349,6 @@ def _norm3(v: np.ndarray) -> np.ndarray:
 def _times(J: np.ndarray, v: np.ndarray) -> np.ndarray:
     """J v on each row: J is (N, 3, 3), v (N, 3); summed term by term, not by BLAS."""
     return J[:, :, 0] * v[:, 0:1] + J[:, :, 1] * v[:, 1:2] + J[:, :, 2] * v[:, 2:3]
-
-
-def _jacobian_rows(x: np.ndarray, f: np.ndarray, g: tuple, branch: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian (N, 3, 3) of `_fixed_point_rows` at x, where it reads f.
-
-    MINPACK's `fdjac1` step, h = sqrt(eps) |x_j| (sqrt(eps) at x_j = 0), with the
-    3N shifted points evaluated as one stack.
-    """
-    h = _FD_STEP * np.abs(x)
-    h[h == 0.0] = _FD_STEP
-    shifted = np.repeat(x[None], 3, axis=0)
-    for j in range(3):
-        shifted[j, :, j] += h[:, j]
-    fs = _fixed_point_rows(shifted.reshape(-1, 3), g, np.tile(branch, 3)).reshape(3, len(x), 3)
-    return ((fs - f) / h.T[:, :, None]).transpose(1, 2, 0)
 
 
 def _dogleg_step(J: np.ndarray, f: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -389,10 +396,11 @@ def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarr
     """Solve `_fixed_point_rows` = 0 from every row of x0 at once: (x, converged).
 
     Powell's hybrid method (Powell, A hybrid method for nonlinear equations,
-    1970) as MINPACK's `hybrd` runs it, on all rows together: a fresh
-    forward-difference Jacobian after each accepted step, and the trust
-    radius delta starting at 100 |x0| (100 at x0 = 0), cut to the length of
-    the first step.  Delta is halved when the actual over the predicted
+    1970) as MINPACK's `hybrd` runs it, on all rows together, but with the
+    exact Jacobian: each iteration evaluates `_fixed_point_rows` once, at the
+    trial points, and an accepted step keeps the Jacobian of its trial.  The
+    trust radius delta starts at 100 |x0| (100 at x0 = 0), cut to the length
+    of the first step; it is halved when the actual over the predicted
     reduction rho of |f|^2 is below 0.1, set to 2|p| when rho is within 0.1
     of 1 and grown to at least 2|p| when rho exceeds 0.5; a step is taken
     when rho >= 1e-4.  A row converges, as for `hybrd` with xtol =
@@ -400,14 +408,10 @@ def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarr
     a row still open after _DOGLEG_ITERATIONS steps fails.  Temporaries hold
     only the rows still open.
     """
-    x = x0.copy()
-    idx = np.arange(len(x))
-    out = x.copy()
+    x, out, idx = x0.copy(), x0.copy(), np.arange(len(x0))
     converged = np.zeros(len(x), dtype=bool)
-    f = _fixed_point_rows(x, g, branch)
-    J = _jacobian_rows(x, f, g, branch)
-    fnorm = _norm3(f)
-    xnorm = _norm3(x)
+    f, J = _fixed_point_rows(x, g, branch)
+    fnorm, xnorm = _norm3(f), _norm3(x)
     delta = np.where(xnorm > 0.0, 100.0 * xnorm, 100.0)
     for it in range(_DOGLEG_ITERATIONS):
         p = _dogleg_step(J, f, delta)
@@ -415,7 +419,7 @@ def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarr
         if it == 0:
             delta = np.minimum(delta, pnorm)
         trial = x + p
-        f_trial = _fixed_point_rows(trial, g, branch)
+        f_trial, J_trial = _fixed_point_rows(trial, g, branch)
         fnorm_trial = _norm3(f_trial)
         with np.errstate(divide="ignore", invalid="ignore"):
             actual = np.where(fnorm_trial < fnorm, 1.0 - (fnorm_trial / fnorm) ** 2, -1.0)
@@ -425,18 +429,14 @@ def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarr
                          np.where(np.abs(rho - 1.0) <= 0.1, 2.0 * pnorm,
                                   np.where(rho > 0.5, np.maximum(delta, 2.0 * pnorm), delta)))
         step = rho >= 1e-4
-        if step.any():
-            x[step], f[step], fnorm[step] = trial[step], f_trial[step], fnorm_trial[step]
-            xnorm[step] = _norm3(x[step])
-            J[step] = _jacobian_rows(x[step], f[step], g, branch[step])
-        done = (fnorm == 0.0) | (delta <= _ROOT_XTOL * xnorm)
+        x, f = np.where(step[:, None], trial, x), np.where(step[:, None], f_trial, f)
+        J, fnorm = np.where(step[:, None, None], J_trial, J), np.where(step, fnorm_trial, fnorm)
+        done = (fnorm == 0.0) | (delta <= _ROOT_XTOL * _norm3(x))
         if done.any():
-            out[idx[done]] = x[done]
-            converged[idx[done]] = True
+            out[idx[done]], converged[idx[done]] = x[done], True
             keep = ~done
-            x, f, J, fnorm, xnorm, delta, branch, idx = (
-                x[keep], f[keep], J[keep], fnorm[keep], xnorm[keep], delta[keep], branch[keep],
-                idx[keep])
+            x, f, J, fnorm, delta, branch, idx = (
+                x[keep], f[keep], J[keep], fnorm[keep], delta[keep], branch[keep], idx[keep])
             if not len(idx):
                 break
     return out, converged
@@ -580,10 +580,10 @@ def _shoot_search(g1: Mat2C, pd, lower: float, tol: float, budget: int,
             feasible.append(cand)
     tight = bool(feasible) and min(f[0] for f in feasible) <= lower + tol
 
-    # Polish stage: the fixed-point Jacobian degenerates for targets near the
-    # positive definite cone, so a start seeded from the polar decomposition
-    # (boost X, su(2) part -log k) is refined by least squares on the endpoint
-    # residual.  Skipped when the bracket is already tight: it cannot improve.
+    # Polish stage: the fixed-point Jacobian degenerates near the positive definite
+    # cone (smallest singular value at the witness: median 7e-4 there, 9e-11 at small
+    # |beta|, 0.09 on the benchmark corpus), so a start seeded from the polar
+    # decomposition is refined by least squares, unless the bracket is already tight.
     if not tight and lower > _POLISH_MIN_LOWER:
         log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
         if log_k is not None:
@@ -659,7 +659,7 @@ def _polish_candidate(g1m: np.ndarray, x0: np.ndarray, tol: float):
     try:
         x = least_squares(residual_vec, x0, x0 - radius, x0 + radius)
         cand = _candidate(g1m, x[:3], x[3:])
-    except Exception:
+    except (ValueError, OverflowError):  # a non-finite gap, a singular system, cosh overflow
         return None
     return cand if cand is not None and cand[3] < tol else None
 

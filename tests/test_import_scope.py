@@ -33,7 +33,7 @@ def run(argv):
 # sha256 of the non-boost `distance` output below.  Its lower end is the
 # projection bound |X| = 2 * 0.45 = 0.9 of the polar factor, printed as
 # 0.8999999999999998.
-DISTANCE_SHA256 = "b98ff339b1230757b8b21a3fefcd0eab5e52178b6599688b2576806f106eab4b"
+DISTANCE_SHA256 = "b7e677963849ee8dd4a0a433708dee0d20a2363cbb036b7448a54da3532a87c6"
 
 
 def _child(fresh_python, body: str, cwd=None):

@@ -417,9 +417,9 @@ def _shooting_targets():
 # an unreachable boost-rotation and an indeterminate rotation, all inexact.
 # The two unreachable ones are decided by the projection bound alone and run
 # no search, so they read [lower, inf) with no witness.
-_SHOOTING_REPORTS_SHA256 = "c47f7a6c2cd750cbacafbfe1e7041bfd9b75919f4a6c7ce8b1a68833a4d669ba"
+_SHOOTING_REPORTS_SHA256 = "131aa31c3816ec2ea6c3445bde5d5ec8caa9a8bc833cdf60d68e1847c08551ca"
 # sha256 of the other four reports alone, which the search decides.
-_SEARCHED_REPORTS_SHA256 = "e1130b54650bb73cf3d83fc165ebcb4c314b8eb4ee9ccc79d6145af7ab303d2d"
+_SEARCHED_REPORTS_SHA256 = "20baa8bf7df5dc6ddc1f4887e1d10d740a1791298e0fd72069d769f67916b755"
 # The lower ends of the two lower-decided reports, bit for bit those of the
 # full `distance_shoot` brackets.
 _LOWER_DECIDED = {1: 1.2447780787279754, 4: 1.1024473440317106}
@@ -552,7 +552,7 @@ class TestCausalClassify:
             distance_shoot(g1)  # the distance is still shot in full
         monkeypatch.undo()
         br = distance_shoot(g1)
-        assert (br.lower, br.upper, br.converged) == (0.8999999999999998, 3.4585464995572792, False)
+        assert (br.lower, br.upper, br.converged) == (0.8999999999999998, 3.4585464995572788, False)
 
     def test_lower_decision_leaves_the_isotropic_tie_to_the_search(self):
         # Just off a boost the searched bracket is exact: xi = 1 - 5e-10 lies below
