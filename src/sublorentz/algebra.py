@@ -51,14 +51,14 @@ def _frozen_array(value, dtype, shape: tuple, what: str, batch: bool = False) ->
     the field in the error message.  With `batch`, `value` is a stack of such
     arrays along a leading axis of any length, checked with the same messages.
     """
-    a = np.array(value, dtype=dtype, order="C")
+    a = np.asarray(value, dtype=dtype, order="C")  # copied once, by tobytes below
     got = a.shape[1:] if batch else a.shape
     if got != shape:
         raise ValueError(f"{what} must have shape {shape}, got {got}")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} entries must be finite")
-    a.setflags(write=False)
-    return a
+    # An immutable buffer, so neither the array nor any view of it can be made writeable.
+    return np.ndarray(a.shape, a.dtype, a.tobytes())
 
 
 def _frozen_rows(cls, field: str, batch: np.ndarray) -> tuple:

@@ -19,12 +19,13 @@ SRC = Path(sublorentz.__file__).resolve().parents[1]
 
 @pytest.fixture
 def fresh_python():
-    """Run `python <args>` in a new interpreter that imports this checkout's package."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    """Run `python <args>` in a new interpreter that imports this checkout's package,
+    with `env` added to its environment."""
+    base = dict(os.environ)
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), base.get("PYTHONPATH")]))
 
-    def run(*args, cwd=None):
-        return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    def run(*args, cwd=None, env=None):
+        return subprocess.run([sys.executable, *args], cwd=cwd, env={**base, **(env or {})},
                               capture_output=True, text=True, timeout=300)
 
     return run

@@ -270,6 +270,8 @@ def test_frozen_array_fields(field):
     assert np.array_equal(stored, good)
     assert not stored.flags.writeable
     assert not np.shares_memory(stored, source)
+    with pytest.raises(ValueError):  # backed by an immutable buffer, not only flagged
+        stored.setflags(write=True)
 
 
 # Each batch-row constructor: (the single constructor, its stored field, a valid row).
@@ -302,6 +304,8 @@ def test_batch_rows_are_read_only_views(kind):
         stored[1][(0,) * good.ndim] = 7.0
     with pytest.raises(ValueError):
         stored[1].setflags(write=True)
+    with pytest.raises(ValueError):  # nor can the shared batch behind the rows
+        stored[1].base.setflags(write=True)
     assert cls.rows(np.zeros((0, *good.shape))) == ()
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,9 @@ from sublorentz import (
     su2_exp,
     to_coords,
 )
-from sublorentz.sublorentzian import ExtremalParams, _adjoint_rhs, _gauge_step, _normal_step
+from sublorentz import sublorentzian
+from sublorentz.sublorentzian import (
+    ExtremalParams, IntegrationDivergedError, _adjoint_rhs, _precession, _rk4_factors)
 
 
 def boost_target(xi, eta, direction=(1.0, 0.0, 0.0)):
@@ -227,23 +230,25 @@ def _golden_runs():
 
 _GOLDEN_RUNS = _golden_runs()
 
-# The integrators run on Python scalars, so their bits do not depend on BLAS.
+# The integrators build their RK4 step factors entry by entry on real arrays and
+# multiply them onto g on Python scalars, so their bits depend neither on BLAS nor
+# on numpy's SIMD dispatch (see test_integrator_bits_do_not_depend_on_simd_dispatch).
 _GOLDEN = {
     "timelike": (
-        ["0x1.64fccc869a31ep+2", "0x1.52d94bbcdb7d5p-2", "0x1.006c3d793c1d4p-2", "-0x1.45d0d7240e01bp+1",
-         "0x1.f2ac32323ddcap-2", "0x1.dfe6301b42937p+0", "0x1.84e14ba92353cp+1", "-0x1.45f29423bd79cp-2"],
-        ["0x1.3fbe701157608p+0", "0x1.5d4681ef046c2p-2", "0x1.55065e766b077p-1", "-0x1.0ab9d2587aa1fp-8",
+        ["0x1.64fccc869a319p+2", "0x1.52d94bbcdb7f2p-2", "0x1.006c3d793c20dp-2", "-0x1.45d0d7240e02bp+1",
+         "0x1.f2ac32323ddd3p-2", "0x1.dfe6301b42957p+0", "0x1.84e14ba923556p+1", "-0x1.45f29423bd7b7p-2"],
+        ["0x1.3fbe701157608p+0", "0x1.5d4681ef046c6p-2", "0x1.55065e766b070p-1", "-0x1.0ab9d2587aac0p-8",
          "-0x1.0000000000000p-1", "-0x1.999999999999ap-4", "0x1.6666666666666p-1"],
     ),
     "isotropic": (
-        ["0x1.73f41ff4bb5ecp+1", "-0x1.7a5977586fb35p-1", "-0x1.1cc9607e73e4ep-1", "0x1.5ff5afee2e44ap+1",
-         "-0x1.d77a21c5ea358p-1", "-0x1.1f0f6a17cf20dp+1", "0x1.29c5cef3f42adp+2", "0x1.7b70c2ca6d776p-1"],
-        ["0x1.0000000000000p+0", "0x1.cce0eaa112cf5p-1", "-0x1.ce7fb3b0bf3e1p-3", "0x1.7d658e40716e3p-2",
+        ["0x1.73f41ff4bb5fcp+1", "-0x1.7a5977586fb42p-1", "-0x1.1cc9607e73e3bp-1", "0x1.5ff5afee2e43ep+1",
+         "-0x1.d77a21c5ea345p-1", "-0x1.1f0f6a17cf220p+1", "0x1.29c5cef3f42aap+2", "0x1.7b70c2ca6d782p-1"],
+        ["0x1.0000000000000p+0", "0x1.cce0eaa112ceep-1", "-0x1.ce7fb3b0bf3b4p-3", "0x1.7d658e40716e5p-2",
          "0x1.3333333333333p-2", "-0x1.999999999999ap-3", "-0x1.ccccccccccccdp-1"],
     ),
     "abnormal": (
-        ["0x1.a3dcf45496b6cp+0", "0x0.0p+0", "-0x1.013c8dac3d9f8p-6", "0x1.013c8dac3d9f8p-5",
-         "-0x1.013c8dac3da02p-6", "-0x1.013c8dac3da02p-5", "0x1.c404860a1e6b6p+0", "0x0.0p+0"],
+        ["0x1.a3dcf45496b75p+0", "0x0.0p+0", "-0x1.013c8dac3d9edp-6", "0x1.013c8dac3d9edp-5",
+         "-0x1.013c8dac3d9e7p-6", "-0x1.013c8dac3d9e7p-5", "0x1.c404860a1e696p+0", "0x0.0p+0"],
         ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
          "-0x1.0000000000000p-1", "0x1.0000000000000p+0", "-0x1.0000000000000p+1"],
     ),
@@ -274,23 +279,25 @@ def _path_runs():
 # (None where a path has none), taken while each state was still built and
 # validated as its own object, so they pin the batched records to that code.
 # The longest-arc-boost points and controls are those of `point` and `control`
-# called once per time on its extremal.
+# called once per time on its extremal.  The integrator points (and the
+# normal flow's controls and covectors) are those of the RK4 step factors; the
+# abnormal times, controls and covectors are unchanged from the scalar steps.
 _PATH_SHA256 = {
     "timelike": (
         "d1570a98f78ef43df7954b2216321a095a76f4c9bede3ca9e0cc76a82c18cc56",
-        "10e16e0b1dd7dac6080b4b8d22661c39520961b5e59622704d2cc20d16d48a6a",
-        "b6f9e4b28367f610256556d76b2b5764a3abfe01d723a4324b88cd961b6788b3",
-        "fdb45f46d3dec3a5172305c9d3f71055eeeb0a579e2133ce95945db1e0a18b08",
+        "61ea5355dc87a58693e12e565170518cf7881cc66de8beea0208bd058aa8e148",
+        "1e7806252fdd6c5a790b2e3947e3323a216f59925b634b0f18389dc91d868b16",
+        "472fd18799bc168107b93a511a7d6e86697e297bc944c994e0f22f01f103be3a",
     ),
     "isotropic": (
         "d1570a98f78ef43df7954b2216321a095a76f4c9bede3ca9e0cc76a82c18cc56",
-        "e30c821fd582efbd523f16c06270631c64f5b2cffa778bf2311a36180defdc71",
-        "d5c6ef374a59610d8915e7667b52dc7847d3bb0bfd2b9100cb0a57882dd0f996",
-        "27a13415b8484093759ec916696073ac95eb7241595b7f04451468c7d1ca77c1",
+        "67cb281e8517cd0b03bd6b788ec8e973b98d333e759306301cc2bfc8f1880a33",
+        "2bdb3ff16414c03cb1fae701f0f824ac357f456d6d14865b2257242b3a6b7a08",
+        "d94f08f7340afd3c4e6cd9e569b7f556dd582648777172e1441e9f6696eb92a9",
     ),
     "abnormal": (
         "be069d7d0c6719743ada6aed42916e2798ddc937afaa56bd63d766dcca764331",
-        "79cb3732872222728759423b54ad5c21c3724869b83930de52041fbf6465aef1",
+        "2578751ea6f2de3a321f2fd290052d8c7c00d70c4c881f1978d54ada22de9944",
         "9543a122619790aa625fcb84777ca5c31c67dcefee1167209673525f51417616",
         "ff1451d34c4914eb167d780085537224f26a42084f71dd89a28ccbc7fbc8be06",
     ),
@@ -365,6 +372,12 @@ def _relative_gap(got, want):
     return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
 
 
+def _one_step(g, h, stage_controls):
+    """g S for the RK4 factor S of one step with the given four stage controls."""
+    re, im = _rk4_factors(h, *(np.reshape(u, (4, 1)) for u in stage_controls))
+    return g @ (re + 1j * im)[:, :, 0]
+
+
 @pytest.mark.parametrize("regime", [REGIME_TIMELIKE, REGIME_ISOTROPIC])
 def test_normal_step_matches_numpy_oracle(regime):
     rng = np.random.default_rng(909)
@@ -377,11 +390,13 @@ def test_normal_step_matches_numpy_oracle(regime):
         psi = np.concatenate([[math.sqrt(1.0 + av @ av) if regime == REGIME_TIMELIKE else 1.0],
                               av, rng.normal(size=3)])
         h = rng.uniform(1e-3, 0.2)
-        got_g, got_p = _normal_step(tuple(g.ravel().tolist()), psi[0], tuple(psi[1:].tolist()), h)
+        x = psi[1:4]
+        columns, stages = _precession(psi[4:], h, x, 1)
+        got_g = _one_step(g, h, [(psi[0], *q) for q in [x] + [M @ x for M in stages]])
         want_g, want_p = _oracle_step(g, psi, h)
-        assert _relative_gap(got_g, want_g.ravel()) <= 1e-15
-        assert _relative_gap(got_p, want_p[1:]) <= 1e-15
-        assert want_p[0] == psi[0]
+        assert _relative_gap(got_g, want_g) <= 1e-15
+        assert _relative_gap(columns(np.array([1]))[:, 0], want_p[1:4]) <= 1e-15
+        assert np.array_equal(want_p[4:], psi[4:]) and want_p[0] == psi[0]
 
 
 def test_gauge_step_matches_numpy_oracle():
@@ -390,10 +405,116 @@ def test_gauge_step_matches_numpy_oracle():
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         us = [tuple(rng.normal(size=4).tolist()) for _ in range(3)]
         h = rng.uniform(1e-3, 0.2)
-        got = _gauge_step(tuple(g.ravel().tolist()), *us, h)
-        controls = [np.array(us[i]) for i in (0, 1, 1, 2)]
-        want, _ = _oracle_step(g, np.zeros(7), h, controls)
-        assert _relative_gap(got, want.ravel()) <= 1e-15
+        controls = [us[i] for i in (0, 1, 1, 2)]
+        want, _ = _oracle_step(g, np.zeros(7), h, [np.array(u) for u in controls])
+        assert _relative_gap(_one_step(g, h, controls), want) <= 1e-15
+
+
+@pytest.mark.parametrize("chunk", [1, 7, sublorentzian._CHUNK])
+def test_path_bytes_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    want = {name: _path_bytes(run()) for name, run in _GOLDEN_RUNS.items()}
+    monkeypatch.setattr(sublorentzian, "_CHUNK", chunk)
+    assert {name: _path_bytes(run()) for name, run in _GOLDEN_RUNS.items()} == want
+
+
+def _dispatched_cpu_features():
+    """The SIMD features numpy found on this host beyond its build's baseline."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+
+
+_SIMD_CHILD = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import test_sublorentzian as t
+print(json.dumps({
+    "enabled": t._dispatched_cpu_features(),
+    "paths": {name: hashlib.sha256(b"".join(t._path_bytes(run()))).hexdigest()
+              for name, run in t._GOLDEN_RUNS.items()},
+}))
+"""
+
+
+def test_integrator_bits_do_not_depend_on_simd_dispatch(fresh_python):
+    # numpy picks SIMD loops at run time, and some (complex multiply, for one)
+    # fuse multiply-adds.  With every dispatched feature this host has switched
+    # off, the integrators must still write the same bytes.
+    found = _dispatched_cpu_features()
+    out = fresh_python("-c", _SIMD_CHILD, str(Path(__file__).parent),
+                       env={"NPY_DISABLE_CPU_FEATURES": " ".join(found)})
+    assert out.returncode == 0, out.stderr
+    child = json.loads(out.stdout)
+    assert child["enabled"] == []
+    assert child["paths"] == {name: hashlib.sha256(b"".join(_path_bytes(run()))).hexdigest()
+                              for name, run in _GOLDEN_RUNS.items()}
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "run, time",
+    [
+        # psi_456 so large that a step of 0.05 is far outside RK4's stability region
+        (lambda: pontryagin_integrate(
+            [_SQRT2, -1, 0, 0, 0, 3e20, -2e20], REGIME_TIMELIKE, 2.0, 40, record_every=7),
+         0.35000000000000003),
+        (lambda: pontryagin_integrate([_SQRT2, -1, 0, 0, 0, 0, 0], REGIME_TIMELIKE, 1e300, 10),
+         1e299),
+        (lambda: abnormal_extremal([0.0, 1e308], [0.0, 1.0], (0, 0, 1), REGIME_TIMELIKE, 1000),
+         1e305),
+        (lambda: abnormal_extremal([0.0, 1.0], [0.0, 1000.0], (0.3, -0.5, 1), REGIME_TIMELIKE, 1000),
+         0.028),
+        # kappa = 1000 at the second step's end overflows math.cosh, but the first step diverged
+        (lambda: abnormal_extremal([0.0, 1.0], [0.0, 1000.0], (0.3, -0.5, 1), REGIME_TIMELIKE, 2),
+         0.5),
+    ],
+    ids=["pontryagin-huge-psi456", "pontryagin-coarse", "abnormal-coarse", "abnormal-ramp",
+         "abnormal-ramp-before-overflow"],
+)
+def test_divergence_time_pinned(run, time):
+    with pytest.raises(IntegrationDivergedError) as info:
+        run()
+    assert info.value.time == time
+
+
+def test_unstable_step_on_the_bounded_axis_stays_finite():
+    # psi_123 lies on the axis of psi_456, where psi_123 x psi_456 = 0 keeps
+    # every RK4 iterate exact, however far the step is outside stability.
+    path = pontryagin_integrate([_SQRT2, -1, 0, 0, 1e30, 0, 0], REGIME_TIMELIKE, 1.0, 10)
+    assert all((c.psi[:4] == [_SQRT2, -1, 0, 0]).all() for c in path.covectors)
+
+
+def test_math_overflow_is_raised_at_its_step():
+    # kappa stays 0 for two steps, then the third step's end reaches 1000.
+    with pytest.raises(OverflowError):
+        abnormal_extremal([0.0, 1.0, 2.0], [0.0, 0.0, 2000.0], (0.3, -0.5, 1), REGIME_TIMELIKE, 4)
+
+
+@pytest.mark.parametrize(
+    "args, threshold, error, match",
+    [
+        # the drift fails from the first step, and no step diverges
+        (([0.0, 1.0], [0.2, 0.9], (0.5, -1.0, 2.0), REGIME_TIMELIKE, 100), 0.0,
+         RuntimeError, "not stationary"),
+        # the drift fails once |u_1| > 1e3 (t near 0.25), before the divergence at t = 0.55
+        (([0.0, 1.0, 2.0], [0.0, 30.0, 0.0], (1, 0, 0), REGIME_TIMELIKE, 200), 1e3,
+         RuntimeError, "not stationary"),
+        # both fail at the first step: divergence wins
+        (([0.0, 1e308], [0.0, 1.0], (0, 0, 1), REGIME_TIMELIKE, 1000), 0.0,
+         IntegrationDivergedError, "diverged at t = 1e[+]305"),
+    ],
+    ids=["drift-only", "drift-first", "same-step"],
+)
+def test_drift_and_divergence_precedence(monkeypatch, args, threshold, error, match):
+    rhs = _adjoint_rhs
+    monkeypatch.setattr(sublorentzian, "_adjoint_rhs", lambda *a: tuple(
+        v + (np.abs(a[6]) >= threshold) for v in rhs(*a)))
+    with pytest.raises(error, match=match):
+        abnormal_extremal(*args)
 
 
 def _shooting_targets():
