@@ -163,26 +163,20 @@ def polar_decompose(g: Mat2C, unimodular: bool = False) -> PolarDecomposition:
     return PolarDecomposition(xi, boost, k)
 
 
-def su2_entries(c0: float, c1: float, c2: float, n: float) -> tuple[complex, ...]:
-    """Entries (m00, m01, m10, m11) of exp(c0 e_4 + c1 e_5 + c2 e_6), given n = |c|.
+def su2_exp(c) -> Mat2C:
+    """exp(c1 e_4 + c2 e_5 + c3 e_6) = cos(|c|/2) I + i sin(|c|/2) (c_hat . sigma).
 
-    cos(n/2) I + i sin(n/2)/n (c0 sigma_1 + c1 sigma_2 + c2 sigma_3), not via
-    `coeff_entries` (3.5 us more per shooting evaluation).  The zero terms (0.0 +,
-    cs * 0j, c2 * 0j) give each zero entry part the sign the matrix sum gives it.
+    Entry by entry, not via `coeff_entries`: the zero terms (0.0 +, cs * 0j,
+    c2 * 0j) give each zero entry part the sign the matrix sum gives it.
     """
+    c = np.asarray(c, dtype=float)
+    c0, c1, c2 = c.tolist()
+    n = float(np.linalg.norm(c))
     cs = math.cos(n / 2.0)
     s = sinc_scaled(n, 0.5)  # sin(n/2)/n, continuous at 0
     off = cs * 0j
-    return (complex(cs, 0.0 + s * c2), off + 1j * s * (c0 + c1 * 1j + c2 * 0j),
-            off + 1j * s * (c0 + c1 * -1j), complex(cs, 0.0 - s * c2))
-
-
-def su2_exp(c) -> Mat2C:
-    """exp(c1 e_4 + c2 e_5 + c3 e_6) = cos(|c|/2) I + i sin(|c|/2) (c_hat . sigma)."""
-    c = np.asarray(c, dtype=float)
-    c0, c1, c2 = c.tolist()
-    m00, m01, m10, m11 = su2_entries(c0, c1, c2, float(np.linalg.norm(c)))
-    return Mat2C(np.array([[m00, m01], [m10, m11]]))
+    return Mat2C(np.array([[complex(cs, 0.0 + s * c2), off + 1j * s * (c0 + c1 * 1j + c2 * 0j)],
+                           [off + 1j * s * (c0 + c1 * -1j), complex(cs, 0.0 - s * c2)]]))
 
 
 def axis_angle_rotation(axis, angle) -> np.ndarray:

@@ -17,16 +17,15 @@ solution above.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import AlgCoords, Mat2C, _frozen_array, coeff_entries, entry_coords, from_coords
+from .algebra import AlgCoords, Mat2C, _frozen_array, coeff_entries, from_coords
 from .expmap import (SMALL_W, ProductExpParams, _curve_coefficients, _curve_w, _frobenius_sq,
-                     exp_series, polar_decompose, su2_entries)
+                     exp_series, polar_decompose)
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -239,42 +238,7 @@ class DistanceBracket:
         )
 
 
-def _log_sl2(m00: complex, m01: complex, m10: complex, m11: complex, branch: int):
-    """Entries of the traceless logarithm of the unimodular [[m00, m01], [m10, m11]].
-
-    Branch k shifts the eigenvalue logs by +-2 pi i k.  Near-degenerate
-    eigenvalues (gap below 1e-8, mu = tr/2 = +-1) give branch 0 near +I only:
-    (M - mu I)/mu, the exact atanh(d/mu)/d (M - mu I), d^2 = mu^2 - 1, to a
-    relative (mu^2 - 1)/3 < 1e-16.  Near -I it is None: -I + N (N != 0) has
-    no traceless logarithm, and -I has a sphere of them, none canonical.
-    """
-    tr = m00 + m11
-    disc = cmath.sqrt(tr * tr / 4.0 - 1.0)
-    mu_p = tr / 2.0 + disc
-    mu_m = tr / 2.0 - disc
-    if abs(mu_p) < abs(mu_m):
-        mu_p, mu_m = mu_m, mu_p
-    if abs(mu_p - mu_m) < 1e-8:
-        mu = tr / 2.0
-        if branch != 0 or mu.real <= 0.0:
-            return None
-        return (m00 - mu) / mu, m01 / mu, m10 / mu, (m11 - mu) / mu
-    gap = mu_p - mu_m
-    l_p = cmath.log(mu_p) + 2j * math.pi * branch
-    # l_p (2P - I) with P = (M - mu_m I) / gap the projector onto the mu_p eigenline
-    return (l_p * (2.0 * ((m00 - mu_m) / gap) - 1.0), l_p * (2.0 * (m01 / gap)),
-            l_p * (2.0 * (m10 / gap)), l_p * (2.0 * ((m11 - mu_m) / gap) - 1.0))
-
-
-def _log_g_su2(g: tuple, c0: float, c1: float, c2: float, branch: int):
-    """`_log_sl2` entries of g su2_exp(c), with g given by its four entries."""
-    g00, g01, g10, g11 = g
-    s00, s01, s10, s11 = su2_entries(c0, c1, c2, math.sqrt(c0 * c0 + c1 * c1 + c2 * c2))
-    return _log_sl2(g00 * s00 + g01 * s10, g00 * s01 + g01 * s11,
-                    g10 * s00 + g11 * s10, g10 * s01 + g11 * s11, branch)
-
-
-# I and `su2_entries`' E_j (exp(c) = cos(|c|/2) I + sin(|c|/2)/|c| sum_j c_j E_j): g E_j is exact.
+# I and the E_j of `su2_exp`, exp(c) = cos(|c|/2) I + sin(|c|/2)/|c| sum_j c_j E_j: g E_j is exact.
 _SU2_UNITS = np.array([_I2, [[0, 1j], [1j, 0]], [[0, -1], [1, 0]], [[1j, 0], [0, -1j]]])
 # dq/du, u = mu^2 - 1, on branch 0 near mu = +1 (q = asinh(d)/d, d^2 = u, which 1/mu
 # matches to rounding on the degenerate set), highest term first: (1 - mu q)/u cancels
@@ -285,24 +249,30 @@ _DQ_SERIES_RADIUS = 1e-2
 
 @functools.lru_cache(maxsize=4)
 def _skew_functionals(g: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """G = F(g) and K_j = F(g E_j) of `_fixed_point_rows`, once per target."""
+    """G = F(g) and K_j = F(g E_j) of `_fixed_point_rows`, once per target, and
+    once for the polar rotation k that seeds the polish (`_shoot_search`)."""
     (m00, m01), (m10, m11) = (np.reshape(g, (2, 2)) @ _SU2_UNITS).transpose(1, 2, 0)  # g, g E_j
     FK = np.stack([m01 + m10, 1j * (m10 - m01), m00 - m11, (m00 + m11) / 2.0], axis=1)
     FK.flags.writeable = False  # every caller shares these arrays through the cache
     return FK[0], FK[1:]
 
 
-def _fixed_point_rows(c: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shooting residual r = skew(log(g exp(c))) - c of each row of c, (N, 3),
-    and its exact Jacobian dr/dc, (N, 3, 3), from one pass; sums term by term.
+def _fixed_point_rows(c: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Shooting residual r = skew(log(g exp(c))) - c of each row of c, (N, 3), its
+    exact Jacobian dr/dc, (N, 3, 3), and herm(log(g exp(c))), (N, 3), from one
+    pass; sums term by term.  The one home of the shooting logarithm.
 
     Row j takes log branch branch[j]; g is given by its four entries.  The
     functionals F = (P, mu) of M, P = (m01 + m10, i (m10 - m01), m00 - m11) and
     mu = tr M / 2, are F = cs G + s (c.K) on M = g exp(c) (`_SU2_UNITS`; cs =
-    cos(n/2), s = sin(n/2)/n, n = |c|), G = F(g), K_j = F(g E_j); L = q (M - mu
-    I) has skew coordinates Im(q P), so r = Im(q P) - c with q = 2 l_p / gap
-    (`_log_sl2`), or 1/mu where the gap is below 1e-8 on branch 0 near +I.  Rows
-    `_log_sl2` refuses (other branches there, and near -I) read r = 1e6, J = 0.
+    cos(n/2), s = sin(n/2)/n, n = |c|), G = F(g), K_j = F(g E_j).  The log is
+    L = q (M - mu I) = l_p (2 Pi - I), Pi the projector onto the eigenline of
+    mu_+, the larger of mu +- sqrt(mu^2 - 1), l_p = log(mu_+) + 2 pi i k on
+    branch k, so q = 2 l_p / gap, gap = mu_+ - mu_-.  A gap below 1e-8 (mu = +-1)
+    takes q = 1/mu on branch 0 near +I, the exact atanh(d/mu)/d to a relative
+    (mu^2 - 1)/3 < 1e-16; other branches there, and all near -I (-I + N, N != 0,
+    has no traceless log; -I has a sphere of them), are refused: r = 1e6, J = 0.
+    L has skew coordinates Im(q P) and Hermitian ones Re(q P): r = Im(q P) - c.
     dF/dc_j = c_j (t (c.K) - (s/2) G) + s K_j, t = (cs/2 - s)/n^2 (-1/24 at
     n = 0), and q' = (1 - mu q)/(mu^2 - 1), or `_DQ_SERIES` on branch 0 near +I
     (degenerate set included), so J_ij = Im(q' dmu_j P_i + q dP_ij) - delta_ij.
@@ -334,12 +304,13 @@ def _fixed_point_rows(c: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.n
     near = (branch == 0) & (np.abs(u) < _DQ_SERIES_RADIUS) & (half.real > 0.0)
     if near.any():
         dq[near] = 2.0 * half[near] * np.polyval(_DQ_SERIES, u[near])
-    f = (q[:, None] * P).imag - c
+    qP = q[:, None] * P
+    f = qP.imag - c
     J = ((dq[:, None] * P)[:, :, None] * dF[:, 3][:, None, :] + q[:, None, None] * dF[:, :3]).imag
     J -= np.eye(3)
     refused = degenerate & ((branch != 0) | (half.real <= 0.0))
     f[refused], J[refused] = 1e6, 0.0
-    return f, J
+    return f, J, qP.real
 
 
 def _norm3(v: np.ndarray) -> np.ndarray:
@@ -410,7 +381,7 @@ def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarr
     """
     x, out, idx = x0.copy(), x0.copy(), np.arange(len(x0))
     converged = np.zeros(len(x), dtype=bool)
-    f, J = _fixed_point_rows(x, g, branch)
+    f, J, _ = _fixed_point_rows(x, g, branch)
     fnorm, xnorm = _norm3(f), _norm3(x)
     delta = np.where(xnorm > 0.0, 100.0 * xnorm, 100.0)
     for it in range(_DOGLEG_ITERATIONS):
@@ -419,7 +390,7 @@ def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarr
         if it == 0:
             delta = np.minimum(delta, pnorm)
         trial = x + p
-        f_trial, J_trial = _fixed_point_rows(trial, g, branch)
+        f_trial, J_trial, _ = _fixed_point_rows(trial, g, branch)
         fnorm_trial = _norm3(f_trial)
         with np.errstate(divide="ignore", invalid="ignore"):
             actual = np.where(fnorm_trial < fnorm, 1.0 - (fnorm_trial / fnorm) ** 2, -1.0)
@@ -442,15 +413,44 @@ def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarr
     return out, converged
 
 
-def _candidate(g1m: np.ndarray, v: np.ndarray, c: np.ndarray):
-    """Turn (v, c) = (T alpha, T beta) into (T, alpha_vec, beta_vec, endpoint residual)."""
-    T = float(np.linalg.norm(v))
+def _endpoint_gap(x: np.ndarray, g1_entries: np.ndarray) -> np.ndarray:
+    """gamma(T) - g1 for the packed x = (T alpha, T beta), T = |T alpha| > 0, as 8
+    reals (the real parts of the four entries, then the imaginary): `sr_geodesic`'s
+    closed form by the same float operations, with no object built.  A non-finite
+    gap raises ValueError."""
+    v = x[:3]
+    T = np.linalg.norm(v)
+    a = np.concatenate(([0.0], v / T, x[3:] / T))
+    point = coeff_entries(*_curve_coefficients(a.tolist(), *_curve_w(a), float(T)))
+    gap = np.array(point) - g1_entries
+    if not np.isfinite(gap).all():
+        raise ValueError("matrix entries must be finite")
+    return np.concatenate([gap.real, gap.imag])
+
+
+def _candidate(g1_entries: np.ndarray, x: np.ndarray):
+    """Turn the packed x = (T alpha, T beta) into (T, alpha_vec, beta_vec, endpoint
+    residual), the residual being the largest entry modulus of `_endpoint_gap`."""
+    T = float(np.linalg.norm(x[:3]))
     if T < _ZERO_LENGTH:
         return None
-    av = v / T
-    bv = c / T
-    res = float(np.max(np.abs(sr_geodesic(SRGeodesicParams(av, bv), T).m - g1m)))
-    return T, av, bv, res
+    gap = _endpoint_gap(x, g1_entries)
+    return T, x[:3] / T, x[3:] / T, float(np.max(np.abs(gap[:4] + 1j * gap[4:])))
+
+
+def _certified(g1_entries: np.ndarray, roots: np.ndarray, branch: np.ndarray,
+               tol: float) -> list[tuple]:
+    """The `_candidate`s below tol of the distinct roots (equal branch and root to
+    _ROOT_DIGITS decimals), in first-seen order.  T alpha is the Hermitian part of
+    each root's logarithm, from one `_fixed_point_rows` pass; refused rows are skipped."""
+    distinct: dict = {}
+    for k, key in enumerate(zip(branch.tolist(), map(tuple, np.round(roots, _ROOT_DIGITS).tolist()))):
+        distinct.setdefault(key, k)
+    rows = list(distinct.values())
+    f, _, herm = _fixed_point_rows(roots[rows], tuple(g1_entries.tolist()), branch[rows])
+    cands = [_candidate(g1_entries, np.concatenate([v, x]))
+             for x, v, refused in zip(roots[rows], herm, (f == 1e6).all(axis=1)) if not refused]
+    return [cand for cand in cands if cand is not None and cand[3] < tol]
 
 
 def _shooting_starts(rng: np.random.Generator, n: int, scale: float) -> list[np.ndarray]:
@@ -486,13 +486,13 @@ def distance_shoot(
     geodesic hitting g1 exactly at time T = |hermitian_part(log(g1 exp(c)))|.
     The first `budget` (branch, start) pairs, branch-major over the branches
     0, +-1, +-2, +-3, are solved together as one batch of rows by Powell's
-    dogleg trust-region method (`_dogleg_rows`).  Each converged root is
-    then re-evaluated on scalars and kept only if its geodesic's endpoint
-    residual is below tol.  Any geodesic reaching g1 at time T proves distance
-    <= T, so the witness is the shortest such candidate, whatever its
-    length or |beta|.  When that leaves the bracket wider than tol, a
-    bounded Levenberg-Marquardt polish (`least_squares`) refines one start
-    seeded from the polar decomposition.
+    dogleg trust-region method (`_dogleg_rows`).  One more `_fixed_point_rows`
+    pass gives each distinct converged root its T alpha, and a root is kept
+    only if its geodesic's endpoint residual (`_endpoint_gap`) is below tol.
+    Any geodesic reaching g1 at time T proves distance <= T, so the witness
+    is the shortest such candidate, whatever its length or |beta|.  When that
+    leaves the bracket wider than tol, a bounded Levenberg-Marquardt polish
+    (`least_squares`) refines one start seeded from the polar decomposition.
     The lower end is the projection bound |X| of the one polar decomposition
     g1 = exp(X) k (`distance_lower_bound`), and that one value is also the
     boost witness length (boost brackets are exactly [|X|, |X|]), the
@@ -508,17 +508,18 @@ def distance_shoot(
     Rotation targets (|X| at most 1e-12) return [lower, inf) with no
     witness and run no solve, because no solve can certify one there:
       1. For g1 in SU(2), every M = g1 exp(c) is in SU(2).
-      2. `_log_sl2` of a unitary M is (i theta + 2 pi i k)(2P - I), P the
-         orthogonal eigenprojector, or (M - mu I)/mu, or None.  It is
-         skew-Hermitian, so T = |hermitian_part(L)| is rounding noise, which
+      2. The logarithm L = q (M - mu I) of `_fixed_point_rows` of a unitary M
+         is (i theta + 2 pi i k)(2P - I), P the orthogonal eigenprojector, or
+         (M - mu I)/mu, or refused.  It is skew-Hermitian, so its Hermitian
+         part Re(q P), and T = |Re(q P)|, is rounding noise, which
          `_candidate` rejects.
       3. Any witness has T > 0 and exp(T(a + b)) = g1 exp(T b) in SU(2).  The
          traceless part of that exponential, (sinh(lambda)/lambda) T(a + b)
          with +-lambda the eigenvalues, would be skew-Hermitian if nonzero;
          then T a, T b are real multiples of i K, K for one skew-Hermitian K,
          so they commute and g1 = exp(T a) is not unitary.  So sinh(lambda)
-         = 0 and g1 exp(T b) = +-I, which `_log_sl2` refuses (the closed-form
-         fiber witness, lambda = i pi, is of this kind).
+         = 0 and g1 exp(T b) = +-I, where that logarithm is refused or zero
+         (the closed-form fiber witness, lambda = i pi, is of this kind).
       4. The polish runs only when |X|, the lower end, exceeds 1e-6.
     """
     front = _shoot_front(g1, tol, budget)
@@ -542,10 +543,10 @@ def _shoot_front(g1: Mat2C, tol: float, budget: int) -> DistanceBracket | tuple:
     lower = boost_distance(pd.boost)  # `distance_lower_bound`, from the one decomposition
     if pd.rotation.distance(Mat2C.identity()) <= _BOOST_ROUNDING * _EPS * _frobenius_sq(g1):
         # Boost target: the one-parameter subgroup through it is a metric line.
-        # lower > 0 here, since a unitary g1 this close to I is the identity.
-        params = SRGeodesicParams(pd.boost.u[1:4] / lower, np.zeros(3))
-        residual = float(np.max(np.abs(sr_geodesic(params, lower).m - g1.m)))
-        return DistanceBracket(lower, lower, True, GeodesicWitness(params, lower, residual))
+        # lower > 2e-12 here, since a g1 within _IDENTITY_TOL of I has returned,
+        # so `_candidate` never returns None on this path.
+        _, av, bv, res = _candidate(g1.m.ravel(), np.concatenate([pd.boost.u[1:4], np.zeros(3)]))
+        return DistanceBracket(lower, lower, True, GeodesicWitness(SRGeodesicParams(av, bv), lower, res))
     if lower <= _ZERO_LENGTH:
         # Rotation target: no solve can give a witness (see `distance_shoot`).
         return DistanceBracket(lower, math.inf, False, None)
@@ -560,24 +561,10 @@ def _shoot_search(g1: Mat2C, pd, lower: float, tol: float, budget: int,
     starts = _shooting_starts(rng, n_starts - 1, 13.0)
     # One row per (branch, start) pair, branch-major, the first `budget` of them.
     branch = np.repeat(_BRANCHES, len(starts))[:budget]
-    g1m = g1.m
-    g = tuple(g1m.ravel().tolist())
-    roots, converged = _dogleg_rows(np.tile(starts, (len(_BRANCHES), 1))[:budget], g, branch)
-
-    feasible: list[tuple] = []
-    seen_roots: set = set()
-    for k in np.flatnonzero(converged).tolist():
-        x, b = roots[k], int(branch[k])
-        key = (b,) + tuple(np.round(x, _ROOT_DIGITS))
-        if key in seen_roots:
-            continue
-        seen_roots.add(key)
-        L = _log_g_su2(g, *x.tolist(), b)
-        if L is None:
-            continue
-        cand = _candidate(g1m, np.array(entry_coords(*L)[1:4]), x)
-        if cand is not None and cand[3] < tol:
-            feasible.append(cand)
+    g1_entries = g1.m.ravel()
+    x0 = np.tile(starts, (len(_BRANCHES), 1))[:budget]
+    roots, converged = _dogleg_rows(x0, tuple(g1_entries.tolist()), branch)
+    feasible = _certified(g1_entries, roots[converged], branch[converged], tol)
     tight = bool(feasible) and min(f[0] for f in feasible) <= lower + tol
 
     # Polish stage: the fixed-point Jacobian degenerates near the positive definite
@@ -585,10 +572,12 @@ def _shoot_search(g1: Mat2C, pd, lower: float, tol: float, budget: int,
     # |beta|, 0.09 on the benchmark corpus), so a start seeded from the polar
     # decomposition is refined by least squares, unless the bracket is already tight.
     if not tight and lower > _POLISH_MIN_LOWER:
-        log_k = _log_sl2(*pd.rotation.m.ravel().tolist(), 0)
-        if log_k is not None:
-            c_seed = -np.array(entry_coords(*log_k)[4:7])
-            polished = _polish_candidate(g1m, np.concatenate([pd.boost.u[1:4], c_seed]), tol)
+        # Its c is -skew(log k): the residual at c = 0, where g exp(c) = g exactly, and g = k.
+        k = tuple(pd.rotation.m.ravel().tolist())
+        skew_log_k = _fixed_point_rows(np.zeros((1, 3)), k, np.zeros(1, dtype=int))[0][0]
+        if not (skew_log_k == 1e6).all():
+            x_seed = np.concatenate([pd.boost.u[1:4], -skew_log_k])
+            polished = _polish_candidate(g1_entries, x_seed, tol)
             if polished is not None:
                 feasible.append(polished)  # below tol: _polish_candidate checks
 
@@ -631,34 +620,23 @@ def least_squares(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return x
 
 
-def _polish_candidate(g1m: np.ndarray, x0: np.ndarray, tol: float):
+def _polish_candidate(g1_entries: np.ndarray, x0: np.ndarray, tol: float):
     """Refine a packed candidate x = (T*alpha, T*beta) on the endpoint residual.
 
     Bounded Levenberg-Marquardt (`least_squares`) on the 8 real components of
     the endpoint gap; returns the candidate if its residual is below tol, else None.
     """
-    g1_entries = g1m.ravel()
-
     def residual_vec(x):
-        # sr_geodesic(SRGeodesicParams(v / T, x[3:] / T), T) - g1 by the same float
-        # operations, without building the three objects on every evaluation.
-        v = x[:3]
-        T = np.linalg.norm(v)
-        if T < _POLISH_ZERO_T:
+        if np.linalg.norm(x[:3]) < _POLISH_ZERO_T:
             return np.full(8, 1e3)
-        a = np.concatenate(([0.0], v / T, x[3:] / T))
-        point = coeff_entries(*_curve_coefficients(a.tolist(), *_curve_w(a), float(T)))
-        gap = np.array(point) - g1_entries
-        if not np.isfinite(gap).all():
-            raise ValueError("matrix entries must be finite")
-        return np.concatenate([gap.real, gap.imag])
+        return _endpoint_gap(x, g1_entries)
 
     # Keep the solve local: a box around the seed prevents the optimizer from
     # tunnelling into a different (longer) solution basin.
     radius = 0.35 + 0.1 * float(np.linalg.norm(x0))
     try:
         x = least_squares(residual_vec, x0, x0 - radius, x0 + radius)
-        cand = _candidate(g1m, x[:3], x[3:])
+        cand = _candidate(g1_entries, x)
     except (ValueError, OverflowError):  # a non-finite gap, a singular system, cosh overflow
         return None
     return cand if cand is not None and cand[3] < tol else None

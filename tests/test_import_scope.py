@@ -33,7 +33,7 @@ def run(argv):
 # sha256 of the non-boost `distance` output below.  Its lower end is the
 # projection bound |X| = 2 * 0.45 = 0.9 of the polar factor, printed as
 # 0.8999999999999998.
-DISTANCE_SHA256 = "b7e677963849ee8dd4a0a433708dee0d20a2363cbb036b7448a54da3532a87c6"
+DISTANCE_SHA256 = "b0677b3c381aa79cf5117556ac5adc7070b8521ecaa4ff772e1984c3412a862c"
 
 
 def _child(fresh_python, body: str, cwd=None):

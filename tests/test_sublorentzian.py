@@ -538,9 +538,9 @@ def _shooting_targets():
 # an unreachable boost-rotation and an indeterminate rotation, all inexact.
 # The two unreachable ones are decided by the projection bound alone and run
 # no search, so they read [lower, inf) with no witness.
-_SHOOTING_REPORTS_SHA256 = "131aa31c3816ec2ea6c3445bde5d5ec8caa9a8bc833cdf60d68e1847c08551ca"
+_SHOOTING_REPORTS_SHA256 = "d9baaf820bc0f6906073379de9df341e8152625e99b0b212910f587e099ca743"
 # sha256 of the other four reports alone, which the search decides.
-_SEARCHED_REPORTS_SHA256 = "20baa8bf7df5dc6ddc1f4887e1d10d740a1791298e0fd72069d769f67916b755"
+_SEARCHED_REPORTS_SHA256 = "520fbb73364d91125103a6beca21ef58c33370c5adb8a7f873baebf3a9ca0f1e"
 # The lower ends of the two lower-decided reports, bit for bit those of the
 # full `distance_shoot` brackets.
 _LOWER_DECIDED = {1: 1.2447780787279754, 4: 1.1024473440317106}
@@ -673,7 +673,7 @@ class TestCausalClassify:
             distance_shoot(g1)  # the distance is still shot in full
         monkeypatch.undo()
         br = distance_shoot(g1)
-        assert (br.lower, br.upper, br.converged) == (0.8999999999999998, 3.4585464995572788, False)
+        assert (br.lower, br.upper, br.converged) == (0.8999999999999998, 3.4585464995572783, False)
 
     def test_lower_decision_leaves_the_isotropic_tie_to_the_search(self):
         # Just off a boost the searched bracket is exact: xi = 1 - 5e-10 lies below

@@ -26,7 +26,7 @@ from sublorentz import (
     to_coords,
 )
 from sublorentz import subriemannian
-from sublorentz.algebra import coords, entry_coords
+from sublorentz.algebra import coords, entry_coords, from_coords
 from sublorentz.expmap import SMALL_W
 
 
@@ -343,7 +343,7 @@ class TestDistanceShoot:
                    [0.0018626643585940663, -0.001999478720363208, 0.0009483277950850703])
         br = distance_shoot(sr_geodesic(p, 1.1672458844635885))
         assert calls["least_squares"] == 1
-        assert br.upper.hex() == "0x1.2ad0a0542963fp+0"
+        assert br.upper.hex() == "0x1.2ad0a0542965ap+0"
 
     # Small-|beta| geodesics whose only witness is the polished one: 11 of 120
     # drawn from default_rng(7) as a ~ N(0,1)^3, b ~ N(0,1)^3 10^U(-6,-1),
@@ -395,8 +395,8 @@ class TestDistanceShoot:
                 assert distance_shoot(_BOOST_ROTATION).to_json() == multistart
 
     def test_shooting_builds_few_matrices(self, monkeypatch):
-        # The fixed-point residual works on complex scalars; a Mat2C per
-        # evaluation would build over 17,000 here.
+        # The residual, the certification of each root and the polish work on
+        # arrays and scalars: the few Mat2C built do not grow with the roots.
         built = []
         init = Mat2C.__init__
 
@@ -404,10 +404,14 @@ class TestDistanceShoot:
             built.append(1)
             init(obj, *args, **kwargs)
 
-        target = sr_geodesic(params([0.6, 0.8, 0.0], [0.3, -0.4, 1.1]), 0.8)
+        *entries, _ = TestBatchedShooting._HARD_TARGETS[0]
+        targets = [(sr_geodesic(params([0.6, 0.8, 0.0], [0.3, -0.4, 1.1]), 0.8), 5),
+                   (Mat2C(np.reshape(entries, (2, 2))), 0)]
         monkeypatch.setattr(Mat2C, "__init__", counting_init)
-        distance_shoot(target, seed=5)
-        assert len(built) < 1000
+        for target, seed in targets:
+            built.clear()
+            distance_shoot(target, seed=seed)
+            assert len(built) < 10
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -525,6 +529,42 @@ def _entries(m: np.ndarray) -> tuple:
     return tuple(m.ravel().tolist())
 
 
+def _log_sl2(m00: complex, m01: complex, m10: complex, m11: complex, branch: int):
+    """Entries of the traceless logarithm of the unimodular [[m00, m01], [m10, m11]].
+
+    Scalar reference for the logarithm of `subriemannian._fixed_point_rows`.
+    Branch k shifts the eigenvalue logs by +-2 pi i k.  Near-degenerate
+    eigenvalues (gap below 1e-8, mu = tr/2 = +-1) give branch 0 near +I only:
+    (M - mu I)/mu, the exact atanh(d/mu)/d (M - mu I), d^2 = mu^2 - 1, to a
+    relative (mu^2 - 1)/3 < 1e-16.  Near -I it is None: -I + N (N != 0) has
+    no traceless logarithm, and -I has a sphere of them, none canonical.
+    """
+    tr = m00 + m11
+    disc = cmath.sqrt(tr * tr / 4.0 - 1.0)
+    mu_p = tr / 2.0 + disc
+    mu_m = tr / 2.0 - disc
+    if abs(mu_p) < abs(mu_m):
+        mu_p, mu_m = mu_m, mu_p
+    if abs(mu_p - mu_m) < 1e-8:
+        mu = tr / 2.0
+        if branch != 0 or mu.real <= 0.0:
+            return None
+        return (m00 - mu) / mu, m01 / mu, m10 / mu, (m11 - mu) / mu
+    gap = mu_p - mu_m
+    l_p = cmath.log(mu_p) + 2j * math.pi * branch
+    # l_p (2P - I) with P = (M - mu_m I) / gap the projector onto the mu_p eigenline
+    return (l_p * (2.0 * ((m00 - mu_m) / gap) - 1.0), l_p * (2.0 * (m01 / gap)),
+            l_p * (2.0 * (m10 / gap)), l_p * (2.0 * ((m11 - mu_m) / gap) - 1.0))
+
+
+def _log_g_su2(g: tuple, c0: float, c1: float, c2: float, branch: int):
+    """`_log_sl2` entries of g su2_exp(c), with g given by its four entries."""
+    g00, g01, g10, g11 = g
+    s00, s01, s10, s11 = su2_exp([c0, c1, c2]).m.ravel().tolist()
+    return _log_sl2(g00 * s00 + g01 * s10, g00 * s01 + g01 * s11,
+                    g10 * s00 + g11 * s10, g10 * s01 + g11 * s11, branch)
+
+
 def _fixed_point(c: np.ndarray, g: tuple, branch: int) -> list[float]:
     """Scalar oracle of `subriemannian._fixed_point_rows`: one row on Python complex scalars.
 
@@ -532,11 +572,20 @@ def _fixed_point(c: np.ndarray, g: tuple, branch: int) -> list[float]:
     same float operations; 1e6 where `_log_sl2` gives no logarithm.
     """
     c0, c1, c2 = c.tolist()
-    L = subriemannian._log_g_su2(g, c0, c1, c2, branch)
+    L = _log_g_su2(g, c0, c1, c2, branch)
     if L is None:
         return [1e6, 1e6, 1e6]
     a00, a01, a10, a11 = L
     return [(a01 + a10).imag - c0, (a10 - a01).real - c1, (a00 - a11).imag - c2]
+
+
+def _row_log(g: tuple, c: np.ndarray, branch: int) -> np.ndarray | None:
+    """The logarithm of g su2_exp(c) that `subriemannian._fixed_point_rows` solves on,
+    built from its Hermitian coordinates and its skew ones, residual + c; None if refused."""
+    f, _, herm = subriemannian._fixed_point_rows(c[None], g, np.array([branch]))
+    if (f == 1e6).all():
+        return None
+    return from_coords(np.concatenate([[0.0], herm[0], f[0] + c])).m
 
 
 def _log_targets():
@@ -565,7 +614,7 @@ class TestShootingLog:
             for _ in range(4):
                 c = rng.normal(size=3) * rng.uniform(0.1, 3.0)
                 M = g1.m @ su2_exp(c).m
-                L = np.array(subriemannian._log_g_su2(g, *c.tolist(), branch)).reshape(2, 2)
+                L = _row_log(g, c, branch)
                 assert abs(L[0, 0] + L[1, 1]) < 1e-12, kind
                 err = np.max(np.abs(exp_series(Mat2C(L)).m - M)) / np.max(np.abs(M))
                 assert err < 1e-10, (kind, c, err)
@@ -579,8 +628,7 @@ class TestShootingLog:
             g = _entries(g1.m)
             c = rng.normal(size=3)
             M = g1.m @ su2_exp(c).m
-            L0 = np.array(subriemannian._log_g_su2(g, *c.tolist(), 0)).reshape(2, 2)
-            Lk = np.array(subriemannian._log_g_su2(g, *c.tolist(), branch)).reshape(2, 2)
+            L0, Lk = _row_log(g, c, 0), _row_log(g, c, branch)
             mus, vecs = np.linalg.eig(M)
             shifts = []
             for mu, v in zip(mus, vecs.T):
@@ -612,14 +660,14 @@ class TestShootingLog:
         g1 = np.array([[1.0, b], [0.0, 1.0]], dtype=complex)  # +I plus a nilpotent part
         g = _entries(g1)
         c = np.zeros(3)
-        L = np.array(subriemannian._log_g_su2(g, 0.0, 0.0, 0.0, 0)).reshape(2, 2)
+        L = _row_log(g, c, 0)
         assert not calls, "branch 0 takes the closed form (M - mu I)/mu, not logm"
         assert np.max(np.abs(L - (g1 - np.eye(2)))) < 1e-15  # log(I + N) = N
         assert np.max(np.abs(exp_series(Mat2C(L)).m - g1)) < 1e-15
         res = _fixed_point(c, g, 0)
         assert np.max(np.abs(res - (coords(L)[4:7] - c))) < 1e-15
         for branch in (1, -1, 2, -2, 3, -3):
-            assert subriemannian._log_g_su2(g, 0.0, 0.0, 0.0, branch) is None
+            assert _row_log(g, c, branch) is None
             assert np.array_equal(_fixed_point(c, g, branch), np.full(3, 1e6))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -631,13 +679,10 @@ class TestShootingLog:
         tol = 1e-7
         starts = subriemannian._shooting_starts(rng, 240 // 7 - 1, 13.0)
         branch = np.repeat(self.BRANCHES, len(starts))
-        roots, converged = subriemannian._dogleg_rows(np.tile(starts, (7, 1)), g, branch)
-        for x, b in zip(roots[converged], branch[converged].tolist()):
-            L = subriemannian._log_g_su2(g, *x.tolist(), b)
-            if L is None:
-                continue
-            cand = subriemannian._candidate(g1.m, np.array(entry_coords(*L)[1:4]), x)
-            assert cand is None or cand[3] >= tol, (b, x, cand)
+        roots, _ = subriemannian._dogleg_rows(np.tile(starts, (7, 1)), g, branch)
+        # The final point of every row, converged or not, goes through the
+        # certification that `distance_shoot` runs on its converged roots.
+        assert subriemannian._certified(g1.m.ravel(), roots, branch, tol) == []
 
     @pytest.mark.parametrize("b", [0.0, 0.3])
     def test_minus_identity_has_no_canonical_log(self, b):
@@ -646,8 +691,8 @@ class TestShootingLog:
         M = np.array([[-1.0, b], [0.0, -1.0]], dtype=complex)
         c = np.zeros(3)
         for branch in self.BRANCHES:
-            assert subriemannian._log_sl2(*_entries(M), branch) is None
-            assert subriemannian._log_g_su2(_entries(M), 0.0, 0.0, 0.0, branch) is None
+            assert _log_sl2(*_entries(M), branch) is None
+            assert _row_log(_entries(M), c, branch) is None
             assert np.array_equal(_fixed_point(c, _entries(M), branch),
                                   np.full(3, 1e6))
 
@@ -657,11 +702,16 @@ class TestBatchedShooting:
 
     @staticmethod
     def _agree(g, c, branch):
-        got = subriemannian._fixed_point_rows(c, g, branch)[0]
-        for row, x, b in zip(got, c, branch.tolist()):
+        # The residual, and the Hermitian coordinates of the logarithm where it has one.
+        got, _, herm = subriemannian._fixed_point_rows(c, g, branch)
+        for row, h, x, b in zip(got, herm, c, branch.tolist()):
             want = np.array(_fixed_point(x, g, b))
             assert (row == 1e6).all() == (want == 1e6).all(), (x, b)
             assert np.max(np.abs(row - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), (x, b)
+            L = _log_g_su2(g, *x.tolist(), b)
+            if L is not None:
+                want = np.array(entry_coords(*L)[1:4])
+                assert np.max(np.abs(h - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), (x, b)
 
     def test_residual_matches_the_scalar_oracle(self):
         rng = np.random.default_rng(63)
@@ -681,7 +731,7 @@ class TestBatchedShooting:
                   [[1.0 + 1e-10, b], [0.0, 1.0 / (1.0 + 1e-10)]]):
             g = _entries(np.array(M, dtype=complex))
             self._agree(g, c, branch)
-            f, J = subriemannian._fixed_point_rows(c, g, branch)
+            f, J, _ = subriemannian._fixed_point_rows(c, g, branch)
             sentinel = (f == 1e6).all(axis=1)
             assert sentinel.tolist() == [M[0][0] < 0 or k != 0 for k in branch.tolist()]
             assert (J[sentinel] == 0.0).all()  # refused rows carry no Jacobian
@@ -690,7 +740,7 @@ class TestBatchedShooting:
         c = rng.normal(size=(7, 3))
         c *= (2.0 * math.pi / np.linalg.norm(c, axis=1))[:, None]
         self._agree(_entries(np.eye(2, dtype=complex)), c, branch)
-        f, J = subriemannian._fixed_point_rows(c, _entries(np.eye(2)), branch)
+        f, J, _ = subriemannian._fixed_point_rows(c, _entries(np.eye(2)), branch)
         assert (f == 1e6).all() and (J == 0.0).all()
 
     # Boost-rotation targets of the benchmark corpus (`bench/workloads.py`
@@ -802,9 +852,12 @@ class TestShootingJacobian:
 
     def test_one_residual_evaluation_per_iteration(self, monkeypatch):
         # The Jacobian comes with the residual: the initial evaluation, then
-        # one at the trial points of every dogleg step, and none besides.
-        rows, steps = [], []
+        # one at the trial points of every dogleg step, then one row per
+        # distinct converged root for its Hermitian part, then the one row of
+        # the polish seed, and none besides.
+        rows, steps, distinct = [], [], []
         evaluate, step = subriemannian._fixed_point_rows, subriemannian._dogleg_step
+        solve = subriemannian._dogleg_rows
 
         def counting_evaluate(c, *args):
             rows.append(len(c))
@@ -814,11 +867,38 @@ class TestShootingJacobian:
             steps.append(len(J))
             return step(J, *args)
 
+        def recording_solve(x0, g, branch):
+            roots, converged = solve(x0, g, branch)
+            distinct.append(len({(b, *np.round(x, 9).tolist())
+                                 for x, b in zip(roots[converged], branch[converged].tolist())}))
+            return roots, converged
+
         monkeypatch.setattr(subriemannian, "_fixed_point_rows", counting_evaluate)
         monkeypatch.setattr(subriemannian, "_dogleg_step", counting_step)
-        distance_shoot(_BOOST_ROTATION)
-        assert len(rows) == len(steps) + 1
-        assert rows == [7 * (240 // 7)] + steps  # each at the rows still open
+        monkeypatch.setattr(subriemannian, "_dogleg_rows", recording_solve)
+        distance_shoot(_BOOST_ROTATION)  # never tight, so the polish runs
+        assert len(rows) == len(steps) + 3 and distinct[0] > 1
+        assert rows == [7 * (240 // 7)] + steps + distinct + [1]  # each at the rows still open
+
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8),
+           st.lists(st.floats(-12.0, 12.0), min_size=3, max_size=3),
+           st.sampled_from(TestShootingLog.BRANCHES))
+    @settings(max_examples=300, derandomize=True)
+    def test_row_log_exponentiates_back_property(self, entries, c, branch):
+        # exp(L) = g1 su2_exp(c) for the logarithm L the residual pass solves on,
+        # rebuilt from its Hermitian and skew coordinates.
+        m = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
+        det = np.linalg.det(m)
+        assume(abs(det) > 0.1)
+        g1 = m / np.sqrt(det)
+        c = np.array(c)
+        M = g1 @ su2_exp(c).m
+        mu = (M[0, 0] + M[1, 1]) / 2.0
+        assume(abs(mu * mu - 1.0) > 1e-3)  # as the Jacobian property
+        L = _row_log(_entries(g1), c, branch)
+        assume(L is not None)
+        err = np.max(np.abs(exp_series(Mat2C(L)).m - M)) / np.max(np.abs(M))
+        assert err < 1e-10, err
 
 
 class TestUnconvergedBracket:
