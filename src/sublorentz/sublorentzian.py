@@ -167,10 +167,11 @@ def _adjoint_rhs(p1, p2, p3, p4, p5, p6, u1, u2, u3) -> tuple:
 
 # -- RK4 as right multiplication (Iserles, Munthe-Kaas, Norsett & Zanna, 2000) --
 
-_CHUNK = 256  # steps per factor pass: bounds the temporaries whatever `steps` is
+_CHUNK = 2048  # steps per factor pass, at most: bounds the temporaries whatever `steps` is
+_TREE = 256  # steps per pairwise product, at most, counted from the last record
 
 
-def _times(A, B) -> tuple:  # A B for (re, im) (2, 2, N) stacks, in Python's complex order
+def _times(A, B) -> tuple:  # A B for (re, im) (2, 2, ...) stacks, in Python's complex order
     (ar, ai), (br, bi) = A, B
     return ((ar[:, :1] * br[0] - ai[:, :1] * bi[0]) + (ar[:, 1:] * br[1] - ai[:, 1:] * bi[1]),
             (ar[:, :1] * bi[0] + ai[:, :1] * br[0]) + (ar[:, 1:] * bi[1] + ai[:, 1:] * br[1]))
@@ -193,19 +194,47 @@ def _rk4_factors(h: float, *stage_controls) -> tuple:
     return shifted(h / 6.0, S)
 
 
+def _ordered_product(re, im) -> tuple:
+    """(re, im), each (2, 2, n), of the ordered products S_1 S_2 ... S_L along the
+    last axis of (2, 2, n, L) factor stacks: adjacent pairs are multiplied level by
+    level (the tree of a parallel prefix), an odd last factor carried up a level."""
+    X = re, im
+    while X[0].shape[-1] > 1:
+        n = X[0].shape[-1]
+        P = _times(*(tuple(x[..., k:n - n % 2:2] for x in X) for k in (0, 1)))
+        X = P if n % 2 == 0 else tuple(np.concatenate([p, x[..., -1:]], -1) for p, x in zip(P, X))
+    return tuple(x[..., 0] for x in X)
+
+
 def _rk4_points(controls, h: float, steps: int, record_every: int = 1) -> np.ndarray:
     """(R, 4) complex entries of g' = g U from g = I under RK4 at step 0, every
-    `record_every`-th step and the last, multiplied on Python complex scalars;
-    `controls(j0, j1)` gives the four stage controls of steps j0..j1-1."""
+    `record_every`-th step and the last; `controls(j0, j1)` gives the four stage
+    controls of steps j0..j1-1.  The steps are cut into pieces of L = min(
+    `record_every`, `_TREE`) counted from the last record, each piece ending at
+    the next record at the latest.  A pass builds the factors of whole pieces
+    and multiplies each piece's factors pairwise (`_ordered_product`); only the
+    piece products are multiplied onto g, on Python complex scalars.  The bits
+    depend on the controls, h, `steps` and `record_every`, not on `_CHUNK`."""
+    L = min(record_every, _TREE)
     g00, g01, g10, g11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     points = [(g00, g01, g10, g11)]
-    for j0 in range(0, steps, _CHUNK):
-        S = np.stack(_rk4_factors(h, *controls(j0, min(j0 + _CHUNK, steps))), -1).view(complex)
-        for j, (s00, s01, s10, s11) in enumerate(S.reshape(4, -1).T.tolist(), j0 + 1):
+    j0 = 0
+    while j0 < steps:
+        j1 = min(j0 + L * max(1, _CHUNK // L), steps)
+        if record_every > L:  # a record gap of several pieces: the pass stops at its record
+            j1 = min(j1, j0 - j0 % record_every + record_every)
+        re, im = _rk4_factors(h, *controls(j0, j1))
+        n = (j1 - j0) // L * L  # steps in whole pieces; the rest, if any, is one last piece
+        pieces = [_ordered_product(*(x[..., a:b].reshape(2, 2, -1, w) for x in (re, im)))
+                  for a, b, w in ((0, n, L), (n, j1 - j0, j1 - j0 - n)) if b > a]
+        S = np.stack([np.concatenate(x, -1) for x in zip(*pieces)], -1).view(complex)
+        ends = [min(j, j1) for j in range(j0 + L, j1 + L, L)]
+        for j, s00, s01, s10, s11 in zip(ends, *S.reshape(4, -1).tolist()):
             g00, g01, g10, g11 = (g00 * s00 + g01 * s10, g00 * s01 + g01 * s11,
                                   g10 * s00 + g11 * s10, g10 * s01 + g11 * s11)
             if j % record_every == 0 or j == steps:
                 points.append((g00, g01, g10, g11))
+        j0 = j1
     return np.array(points)
 
 
@@ -345,7 +374,10 @@ def pontryagin_integrate(psi0, regime: str, T: float, steps: int,
     from one 3x3 matrix (`_precession`) and a step of g is a right factor
     (`_rk4_factors`), reproducible bit for bit without BLAS or SIMD dispatch.
     Every `record_every`-th state and the last are recorded; a non-finite
-    recorded state aborts with its time.
+    recorded state aborts with its time.  The factors between two records are
+    multiplied pairwise before they reach g (`_rk4_points`), so the points
+    differ from a step-by-step product by rounding, and not at all when
+    `record_every` is 1.
     """
     psi = psi0.psi.copy() if isinstance(psi0, CovectorState) else np.asarray(psi0, dtype=float).copy()
     if psi.shape != (7,):
@@ -614,7 +646,8 @@ def abnormal_extremal(kappa_times, kappa_values, beta_dir, regime: str, steps: i
     u0 = |kappa|, u_i = b_hat_i kappa with kappa nonvanishing.  kappa is
     linearly interpolated between nodes, so supplying nodes at half-step
     resolution makes the integrator see exact values.  The stage controls are
-    known up front, so the steps are `_rk4_factors`, as in `pontryagin_integrate`.
+    known up front, so the steps are `_rk4_factors`, as in `pontryagin_integrate`;
+    every step is recorded, so each factor reaches g on its own.
     """
     kt = np.asarray(kappa_times, dtype=float)
     kv = np.asarray(kappa_values, dtype=float)

@@ -1,8 +1,8 @@
-"""No command loads scipy.
+"""No command loads scipy, and the extremal paths do not load numpy.ma.
 
 numpy is the one runtime dependency; the tests keep scipy only as an
 independent oracle.  Each check runs in a new interpreter, because the test
-process has long since imported scipy.
+process has long since imported scipy (and numpy.ma).
 """
 
 import hashlib
@@ -97,3 +97,32 @@ def test_commands_run_with_scipy_blocked(fresh_python, tmp_path, readme_cli, cap
         assert code == 0, argv
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == out, argv
+
+
+# Both integrators (the normal flow recorded sparsely, so its step factors are
+# multiplied piece by piece), the closed-form samplers and both `extremal` CLI
+# modes, as the README runs them.
+EXTREMAL_CALLS = """
+import math
+import numpy as np
+import sublorentz as sl
+sl.pontryagin_integrate([math.sqrt(2.0), -1, 0, 0, 0.5, 0.1, -0.7], sl.REGIME_TIMELIKE, 2.0, 2000,
+                        record_every=100)
+sl.abnormal_extremal([0.0, 0.5, 1.0], [0.2, -0.4, 0.9], (0.5, -1.0, 2.0), sl.REGIME_TIMELIKE, 1000)
+sl.extremal_path(sl.ExtremalParams.timelike([0.4, -0.2, 0.6], [0.5, 0.1, -0.7]),
+                 np.linspace(0.0, 2.0, 101))
+c, s = math.cosh(0.4), math.sinh(0.4)
+sl.longest_arc(sl.Mat2C(math.e * np.array([[c, s], [s, c]])))
+codes = [run(argv)[0] for argv in (
+    ["extremal", "pontryagin", "--psi0", "1.4142135623730951,-1,0,0,0,0,0",
+     "--regime", "timelike", "--T", "5", "--step", "1e-3"],
+    ["extremal", "abnormal", "--beta-dir", "0,0,1", "--regime", "timelike",
+     "--kappa", "0:0,1.5:0.75,3:1.5", "--steps", "3000"])]
+print(json.dumps([codes, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_extremal_paths_load_no_numpy_ma(fresh_python):
+    # Importing numpy.ma (np.unique does, for one) costs about 20 ms and 0.8 MB,
+    # and none of these paths needs it.
+    assert _child(fresh_python, EXTREMAL_CALLS) == [[0, 0], False]

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -230,19 +231,20 @@ def _golden_runs():
 
 _GOLDEN_RUNS = _golden_runs()
 
-# The integrators build their RK4 step factors entry by entry on real arrays and
-# multiply them onto g on Python scalars, so their bits depend neither on BLAS nor
-# on numpy's SIMD dispatch (see test_integrator_bits_do_not_depend_on_simd_dispatch).
+# The integrators build their RK4 step factors entry by entry on real arrays,
+# multiply the factors between two records pairwise on those arrays and the
+# products onto g on Python scalars, so their bits depend neither on BLAS nor on
+# numpy's SIMD dispatch (see test_integrator_bits_do_not_depend_on_simd_dispatch).
 _GOLDEN = {
     "timelike": (
-        ["0x1.64fccc869a319p+2", "0x1.52d94bbcdb7f2p-2", "0x1.006c3d793c20dp-2", "-0x1.45d0d7240e02bp+1",
-         "0x1.f2ac32323ddd3p-2", "0x1.dfe6301b42957p+0", "0x1.84e14ba923556p+1", "-0x1.45f29423bd7b7p-2"],
+        ["0x1.64fccc869a320p+2", "0x1.52d94bbcdb7f6p-2", "0x1.006c3d793c1f8p-2", "-0x1.45d0d7240e034p+1",
+         "0x1.f2ac32323dd9ep-2", "0x1.dfe6301b42963p+0", "0x1.84e14ba923580p+1", "-0x1.45f29423bd7c2p-2"],
         ["0x1.3fbe701157608p+0", "0x1.5d4681ef046c6p-2", "0x1.55065e766b070p-1", "-0x1.0ab9d2587aac0p-8",
          "-0x1.0000000000000p-1", "-0x1.999999999999ap-4", "0x1.6666666666666p-1"],
     ),
     "isotropic": (
-        ["0x1.73f41ff4bb5fcp+1", "-0x1.7a5977586fb42p-1", "-0x1.1cc9607e73e3bp-1", "0x1.5ff5afee2e43ep+1",
-         "-0x1.d77a21c5ea345p-1", "-0x1.1f0f6a17cf220p+1", "0x1.29c5cef3f42aap+2", "0x1.7b70c2ca6d782p-1"],
+        ["0x1.73f41ff4bb5bep+1", "-0x1.7a5977586fb19p-1", "-0x1.1cc9607e73e03p-1", "0x1.5ff5afee2e40ep+1",
+         "-0x1.d77a21c5ea324p-1", "-0x1.1f0f6a17cf1f7p+1", "0x1.29c5cef3f427cp+2", "0x1.7b70c2ca6d738p-1"],
         ["0x1.0000000000000p+0", "0x1.cce0eaa112ceep-1", "-0x1.ce7fb3b0bf3b4p-3", "0x1.7d658e40716e5p-2",
          "0x1.3333333333333p-2", "-0x1.999999999999ap-3", "-0x1.ccccccccccccdp-1"],
     ),
@@ -280,18 +282,19 @@ def _path_runs():
 # validated as its own object, so they pin the batched records to that code.
 # The longest-arc-boost points and controls are those of `point` and `control`
 # called once per time on its extremal.  The integrator points (and the
-# normal flow's controls and covectors) are those of the RK4 step factors; the
+# normal flow's controls and covectors) are those of the RK4 step factors, the
+# normal flow's points multiplied piece by piece between its records; the
 # abnormal times, controls and covectors are unchanged from the scalar steps.
 _PATH_SHA256 = {
     "timelike": (
         "d1570a98f78ef43df7954b2216321a095a76f4c9bede3ca9e0cc76a82c18cc56",
-        "61ea5355dc87a58693e12e565170518cf7881cc66de8beea0208bd058aa8e148",
+        "8e0c8fd8a316ce57664ba5a0f594ce73924264f5f032cd9924fb837fe1ef5082",
         "1e7806252fdd6c5a790b2e3947e3323a216f59925b634b0f18389dc91d868b16",
         "472fd18799bc168107b93a511a7d6e86697e297bc944c994e0f22f01f103be3a",
     ),
     "isotropic": (
         "d1570a98f78ef43df7954b2216321a095a76f4c9bede3ca9e0cc76a82c18cc56",
-        "67cb281e8517cd0b03bd6b788ec8e973b98d333e759306301cc2bfc8f1880a33",
+        "60b5d0e9007a54e31684eeddf7a10d2085d9092fd3d08abe3132689d5a8f7fde",
         "2bdb3ff16414c03cb1fae701f0f824ac357f456d6d14865b2257242b3a6b7a08",
         "d94f08f7340afd3c4e6cd9e569b7f556dd582648777172e1441e9f6696eb92a9",
     ),
@@ -410,11 +413,85 @@ def test_gauge_step_matches_numpy_oracle():
         assert _relative_gap(_one_step(g, h, controls), want) <= 1e-15
 
 
-@pytest.mark.parametrize("chunk", [1, 7, sublorentzian._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 256, sublorentzian._CHUNK])
 def test_path_bytes_do_not_depend_on_chunk_size(monkeypatch, chunk):
     want = {name: _path_bytes(run()) for name, run in _GOLDEN_RUNS.items()}
     monkeypatch.setattr(sublorentzian, "_CHUNK", chunk)
     assert {name: _path_bytes(run()) for name, run in _GOLDEN_RUNS.items()} == want
+
+
+def _sequential_points(controls, h, steps, record_every=1):
+    """The step-by-step product, oracle of `_rk4_points`: every RK4 step factor
+    multiplied onto g in turn, on Python complex scalars."""
+    g00, g01, g10, g11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    points = [(g00, g01, g10, g11)]
+    S = np.stack(_rk4_factors(h, *controls(0, steps)), -1).view(complex)
+    for j, (s00, s01, s10, s11) in enumerate(S.reshape(4, -1).T.tolist(), 1):
+        g00, g01, g10, g11 = (g00 * s00 + g01 * s10, g00 * s01 + g01 * s11,
+                              g10 * s00 + g11 * s10, g10 * s01 + g11 * s11)
+        if j % record_every == 0 or j == steps:
+            points.append((g00, g01, g10, g11))
+    return np.array(points)
+
+
+def _against_sequential_chain(monkeypatch, run):
+    """(path, the same run with the step factors multiplied onto g one by one)."""
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(sublorentzian, "_rk4_points", _sequential_points)
+        return got, run()
+
+
+@pytest.mark.parametrize("record_every", [1, 2, 7, 100, 255, 256, 257, 300, 5000])
+@pytest.mark.parametrize("regime", [REGIME_TIMELIKE, REGIME_ISOTROPIC])
+def test_pontryagin_points_match_sequential_chain(monkeypatch, regime, record_every):
+    # Pieces of min(record_every, 256) steps are multiplied pairwise before they
+    # reach g; that reorders the products, so points move by rounding only, and
+    # not at all where every step is recorded.  The pieces, not the passes, set
+    # the bits, also where a record gap spans several pieces.
+    psi0 = {REGIME_TIMELIKE: [math.sqrt(2.0), -0.6, 0.8, 0.0, 0.5, 0.1, -0.7],
+            REGIME_ISOTROPIC: [1.0, 0.6, 0.0, -0.8, -0.3, 0.2, 0.9]}[regime]
+    for steps in (1, 613, 2049, 5000):
+        def run():
+            return pontryagin_integrate(psi0, regime, 5.0, steps, record_every)
+        got, want = _against_sequential_chain(monkeypatch, run)
+        (t, g, u, c), (t0, g0, u0, c0) = _path_bytes(got), _path_bytes(want)
+        assert (t, u, c) == (t0, u0, c0)
+        if record_every == 1:
+            assert g == g0
+        a, b = (np.array([x.m for x in p.points]).reshape(-1, 4) for p in (got, want))
+        scale = np.abs(b).max(axis=1)
+        assert float(np.max(np.abs(a - b).max(axis=1) / scale)) <= 1e-13, steps
+        with monkeypatch.context() as m:
+            m.setattr(sublorentzian, "_CHUNK", 7)
+            assert _path_bytes(run()) == _path_bytes(got)
+
+
+@pytest.mark.parametrize("regime, kappa", [(REGIME_TIMELIKE, [0.2, -0.4, 0.9]),
+                                           (REGIME_ISOTROPIC, [0.3, 0.8, 1.6])])
+def test_abnormal_points_are_the_sequential_chain(monkeypatch, regime, kappa):
+    # Every step is recorded, so each piece is one factor and no product moves.
+    for steps in (1, 1000, 2049):
+        got, want = _against_sequential_chain(
+            monkeypatch, lambda: abnormal_extremal([0.0, 0.5, 1.0], kappa, (0.5, -1.0, 2.0),
+                                                   regime, steps))
+        assert _path_bytes(got) == _path_bytes(want)
+
+
+@pytest.mark.parametrize("record_every", [200, 200_000])
+def test_integration_memory_does_not_grow_with_steps(record_every):
+    # The factors are built a pass at a time and a pairwise product covers at
+    # most 256 steps, so 200,000 steps hold only their records; one product over
+    # a whole 200,000-step gap would peak near 100 MB.
+    psi0 = [math.sqrt(2.0), -0.6, 0.8, 0.0, 0.5, 0.1, -0.7]
+    tracemalloc.start()
+    try:
+        path = pontryagin_integrate(psi0, REGIME_TIMELIKE, 2.0, 200_000, record_every)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path.points) == 200_000 // record_every + 1
+    assert peak < 4e6, peak
 
 
 def _dispatched_cpu_features():
