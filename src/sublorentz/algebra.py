@@ -22,7 +22,8 @@ the coordinates (u_1,...,u_6).
 from __future__ import annotations
 
 import cmath
-import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,13 +62,33 @@ def _frozen_array(value, dtype, shape: tuple, what: str, batch: bool = False) ->
     return np.ndarray(a.shape, a.dtype, a.tobytes())
 
 
-def _frozen_rows(cls, field: str, batch: np.ndarray) -> tuple:
-    """One `cls` per row of a batch checked by `_frozen_array`, its `field` a read-only
-    view of the row: no per-row copy or check, and the view cannot be made writeable."""
-    rows = tuple(object.__new__(cls) for _ in range(len(batch)))
-    for obj, row in zip(rows, batch):
-        object.__setattr__(obj, field, row)
-    return rows
+class _Rows(Sequence):
+    """Read-only sequence of `cls` over the rows of a batch checked by `_frozen_array`:
+    row j is built when asked, its `field` a read-only view of `array[j]`."""
+
+    __slots__ = ("_cls", "_field", "_array")
+
+    def __init__(self, cls, field: str, array: np.ndarray):
+        self._cls, self._field, self._array = cls, field, array
+
+    array = property(lambda self: self._array, doc="The whole batch, one row per element.")
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, j):
+        obj = object.__new__(self._cls)
+        object.__setattr__(obj, self._field, self._array[operator.index(j)])
+        return obj
+
+
+def _stacked(rows, field: str, shape: tuple) -> np.ndarray:
+    """`rows` as one array: an array as it is, else the `field` arrays of a sequence
+    of boundary objects (or of plain rows) stacked along a leading axis."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    rows = [getattr(x, field, x) for x in rows]
+    return np.array(rows) if rows else np.empty((0, *shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +99,6 @@ class Mat2C:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _frozen_array(self.m, complex, (2, 2), "matrix"))
-
-    @classmethod
-    def rows(cls, ms) -> tuple["Mat2C", ...]:
-        """One Mat2C per row of an (N, 2, 2) batch, validated once as a whole."""
-        return _frozen_rows(cls, "m", _frozen_array(ms, complex, (2, 2), "matrix", batch=True))
 
     @classmethod
     def identity(cls) -> "Mat2C":
@@ -181,11 +197,6 @@ class AlgCoords:
         if u.shape == (7,):
             u = np.concatenate([u, [0.0]])
         object.__setattr__(self, "u", _frozen_array(u, float, (8,), "coordinates"))
-
-    @classmethod
-    def rows(cls, us) -> tuple["AlgCoords", ...]:
-        """One AlgCoords per row of an (N, 8) batch, validated once as a whole."""
-        return _frozen_rows(cls, "u", _frozen_array(us, float, (8,), "coordinates", batch=True))
 
     @classmethod
     def zero(cls) -> "AlgCoords":
@@ -399,13 +410,7 @@ def clifford_check() -> CliffordReport:
 
 
 def format_float(x: float) -> str:
-    """17-significant-digit rendering used for all numeric CLI output."""
-    if x != x:
-        return "nan"
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
+    """17-significant-digit rendering used for all numeric CLI output ("nan", "inf", "-inf" too)."""
     return format(float(x), ".17g")
 
 

@@ -157,8 +157,8 @@ def cmd_geodesic(args, cfg: dict) -> int:
 
     if args.kind == "subriemannian":
         p = SRGeodesicParams.normalized(av, bv) if args.normalize else SRGeodesicParams(av, bv)
-        points, controls = p.product_params().sample(ts)
-        covectors = None
+        pp = p.product_params()
+        path = PathSample(ts, pp.point_rows(ts), pp.control_rows(ts))
         target_sq = 1.0
     else:
         regime = _REGIMES[args.kind]
@@ -169,11 +169,10 @@ def cmd_geodesic(args, cfg: dict) -> int:
         else:
             params = ExtremalParams.isotropic(av, bv, normalize=args.normalize)
         path = extremal_path(params, ts)
-        points, controls, covectors = path.points, path.controls, path.covectors
         target_sq = 1.0 if regime == REGIME_TIMELIKE else 0.0
 
     det_re, det_im, arc_res = [], [], []
-    for pt, u in zip(points, controls):
+    for pt, u in zip(path.points, path.controls):
         d = pt.det()
         det_re.append(d.real)
         det_im.append(d.imag)
@@ -182,9 +181,8 @@ def cmd_geodesic(args, cfg: dict) -> int:
         else:
             q = float(u.u[0] ** 2 - np.dot(u.u[1:7], u.u[1:7]))
         arc_res.append(abs(q - target_sq))
-    sample = PathSample(ts, points, controls, covectors)
     extra = {"det_re": det_re, "det_im": det_im, "arc_residual": arc_res}
-    _emit(_path_csv(sample, cfg, extra=extra), args.out)
+    _emit(_path_csv(path, cfg, extra=extra), args.out)
     return EXIT_OK
 
 

@@ -320,14 +320,9 @@ class ProductExpParams:
             rows.extend(coeff_entries(*_curve_coefficients(a, w1, w2, t))
                         for t in np.asarray(ts, float).tolist())
         except (ArithmeticError, ValueError):  # as with `point`, an earlier non-finite row fails first
-            Mat2C.rows(np.reshape(rows, (-1, 2, 2)))
+            _frozen_array(np.reshape(rows, (-1, 2, 2)), complex, (2, 2), "matrix", batch=True)
             raise
         return np.reshape(rows, (-1, 2, 2))
-
-    def sample(self, ts) -> tuple[tuple, tuple]:
-        """(points, controls) of the curve at each time in ts, each one validated batch."""
-        ts = np.asarray(ts, dtype=float)
-        return Mat2C.rows(self.point_rows(ts)), AlgCoords.rows(self.control_rows(ts))
 
     def point_two_factor(self, t: float) -> Mat2C:
         """Same curve evaluated as an explicit product of the two exponentials."""

@@ -23,12 +23,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    AlgCoords, Mat2C, _frozen_array, _frozen_rows, coeff_entries, format_float, to_coords)
+    AlgCoords, Mat2C, _frozen_array, _Rows, _stacked, coeff_entries, format_float, to_coords)
 from .expmap import ProductExpParams, aligning_rotation, det_split, sinc_scaled, sinch
 from .subriemannian import (
     _EXACT_TIE_TOL, _EXACT_WIDTH, _ZERO_LENGTH, DistanceBracket, _shoot_front, _shoot_search)
@@ -142,15 +143,15 @@ class CovectorState:
     psi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "psi", self.rows([self.psi])[0].psi)  # a batch of one
+        object.__setattr__(self, "psi", _covectors(self.psi))
 
-    @classmethod
-    def rows(cls, psis) -> tuple["CovectorState", ...]:
-        """One CovectorState per row of an (N, 7) batch, validated once as a whole."""
-        p = _frozen_array(psis, float, (7,), "covector", batch=True)
-        if (np.abs(p).max(axis=1) == 0.0).any():
-            raise ValueError("covector must never vanish along an extremal")
-        return _frozen_rows(cls, "psi", p)
+
+def _covectors(psi, batch: bool = False) -> np.ndarray:
+    """`psi` checked by `_frozen_array` as one covector or an (N, 7) batch, none vanishing."""
+    p = _frozen_array(psi, float, (7,), "covector", batch)
+    if (np.abs(p).reshape(-1, 7).max(axis=1) == 0.0).any():
+        raise ValueError("covector must never vanish along an extremal")
+    return p
 
 
 def _adjoint_rhs(p1, p2, p3, p4, p5, p6, u1, u2, u3) -> tuple:
@@ -228,7 +229,7 @@ def _rk4_points(controls, h: float, steps: int, record_every: int = 1) -> np.nda
         pieces = [_ordered_product(*(x[..., a:b].reshape(2, 2, -1, w) for x in (re, im)))
                   for a, b, w in ((0, n, L), (n, j1 - j0, j1 - j0 - n)) if b > a]
         S = np.stack([np.concatenate(x, -1) for x in zip(*pieces)], -1).view(complex)
-        ends = [min(j, j1) for j in range(j0 + L, j1 + L, L)]
+        ends = [*range(j0 + L, j1, L), j1]  # only the last piece can pass j1
         for j, s00, s01, s10, s11 in zip(ends, *S.reshape(4, -1).tolist()):
             g00, g01, g10, g11 = (g00 * s00 + g01 * s10, g00 * s01 + g01 * s11,
                                   g10 * s00 + g11 * s10, g10 * s01 + g11 * s11)
@@ -281,33 +282,47 @@ def _precession(b, h: float, x, n: int) -> tuple:
 
 
 def _recorded_path(times, points, u_dual, covectors) -> PathSample:
-    """PathSample of integrator records, one validated batch each: point entries
-    (g00, g01, g10, g11) and dual controls (u0..u3) of u0 e0 - u1 e1 - u2 e2 - u3 e3."""
+    """PathSample of integrator records: point entries (g00, g01, g10, g11) and
+    dual controls (u0..u3) of u0 e0 - u1 e1 - u2 e2 - u3 e3, one row per record."""
     u = np.pad(np.asarray(u_dual, dtype=float) * _DUAL_SIGNS, ((0, 0), (0, 4)))
-    points = Mat2C.rows(np.reshape(points, (-1, 2, 2)))
-    return PathSample(np.array(times), points, AlgCoords.rows(u), covectors)
+    return PathSample(times, np.reshape(points, (-1, 2, 2)), u, covectors)
+
+
+# Each row kind of a PathSample: its boundary class, that class's array field,
+# the shape of one row and the check of a whole batch.
+_PATH_ROWS = {
+    "points": (Mat2C, "m", (2, 2), lambda a: _frozen_array(a, complex, (2, 2), "matrix", batch=True)),
+    "controls": (AlgCoords, "u", (8,), lambda a: _frozen_array(a, float, (8,), "coordinates", batch=True)),
+    "covectors": (CovectorState, "psi", (7,), lambda a: _covectors(a, batch=True)),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class PathSample:
-    """Discretized curve: times, group points, controls, covectors (both optional)."""
+    """Discretized curve: times, group points, controls, covectors (both optional).
+
+    Points, controls and covectors each come as an (N, 2, 2) complex, (N, 8)
+    or (N, 7) array, or as a sequence of Mat2C, AlgCoords or CovectorState,
+    and are held as one read-only array each (`path.points.array`, ...): a
+    read-only sequence whose elements are built when asked, views of its rows."""
 
     times: np.ndarray
-    points: tuple
-    controls: tuple | None = None
-    covectors: tuple | None = None
+    points: Sequence
+    controls: Sequence | None = None
+    covectors: Sequence | None = None
 
     def __post_init__(self):
-        t = _frozen_array(self.times, float, (len(self.points),), "times")
+        rows = {name: _Rows(cls, field, check(_stacked(getattr(self, name), field, shape)))
+                for name, (cls, field, shape, check) in _PATH_ROWS.items()
+                if name == "points" or getattr(self, name) is not None}
+        t = _frozen_array(self.times, float, (len(rows["points"]),), "times")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        for name in ("controls", "covectors"):
-            rows = getattr(self, name)
-            if rows is not None and len(rows) != len(t):
+        for name, value in rows.items():  # the points' length is that of the times
+            if len(value) != len(t):
                 raise ValueError(f"{name} length mismatch")
-            object.__setattr__(self, name, None if rows is None else tuple(rows))
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "points", tuple(self.points))
 
     CSV_COLUMNS = (
         ["t"]
@@ -324,16 +339,12 @@ class PathSample:
         for line in header_lines or []:
             stream.write(f"# {line}\n")
         w.writerow(self.CSV_COLUMNS + list(extra.keys()))
-        for j, t in enumerate(self.times):
-            g = self.points[j].m
-            row = [ff(t)]
-            for r in range(2):
-                for c in range(2):
-                    row += [ff(g[r, c].real), ff(g[r, c].imag)]
-            row += [ff(x) for x in self.controls[j].u[:7]] if self.controls else [""] * 7
-            row += [ff(x) for x in self.covectors[j].psi] if self.covectors else [""] * 7
-            row += [ff(extra[k][j]) for k in extra]
-            w.writerow(row)
+        n = len(self.times)
+        g = self.points.array.reshape(n, 4).view(float).tolist()  # re, im of g11, g12, g21, g22
+        u, psi = ([[""] * 7] * n if x is None else [list(map(ff, r)) for r in x.array[:, :7].tolist()]
+                  for x in (self.controls, self.covectors))
+        for j, t in enumerate(self.times.tolist()):
+            w.writerow([ff(t), *map(ff, g[j]), *u[j], *psi[j], *(ff(extra[k][j]) for k in extra)])
 
     @classmethod
     def from_csv(cls, stream) -> "PathSample":
@@ -349,12 +360,8 @@ class PathSample:
         cells = np.array([[row[i] for i in idx] for row in reader], object).reshape(-1, len(idx))
         t, g, u, psi = np.split(cells, [1, 9, 16], axis=1)
         u, psi = (x.astype(float) if len(cells) and (x != "").all() else None for x in (u, psi))
-        return cls(
-            t[:, 0].astype(float),
-            Mat2C.rows(g.astype(float).view(complex).reshape(-1, 2, 2)),
-            None if u is None else AlgCoords.rows(np.pad(u, ((0, 0), (0, 1)))),
-            None if psi is None else CovectorState.rows(psi),
-        )
+        return cls(t[:, 0].astype(float), g.astype(float).view(complex).reshape(-1, 2, 2),
+                   None if u is None else np.pad(u, ((0, 0), (0, 1))), psi)
 
     def to_csv_text(self, extra_columns: dict | None = None, header_lines=None) -> str:
         buf = io.StringIO()
@@ -414,7 +421,7 @@ def pontryagin_integrate(psi0, regime: str, T: float, steps: int,
     diverged = ~(np.isfinite(points).all(axis=1) & np.isfinite(psi).all(axis=1))
     if diverged[1:].any():
         raise IntegrationDivergedError(float(records[1:][diverged[1:]][0] * h))
-    return _recorded_path(records * h, points, psi[:, :4], CovectorState.rows(psi))
+    return _recorded_path(records * h, points, psi[:, :4], psi)
 
 
 def extremal_path(p: ExtremalParams, ts) -> PathSample:
@@ -425,10 +432,10 @@ def extremal_path(p: ExtremalParams, ts) -> PathSample:
     """
     pp = p.product_params()
     times = np.asarray(ts, dtype=float)
-    points = Mat2C.rows(pp.point_rows(times))
+    points = pp.point_rows(times)
     u = pp.control_rows(times)
     psi = np.column_stack([u[:, :4] * _DUAL_SIGNS, np.tile(-p.alpha[4:7], (len(u), 1))])
-    return PathSample(times, points, AlgCoords.rows(u), CovectorState.rows(psi))
+    return PathSample(times, points, u, psi)
 
 
 # -- SU(2) action -------------------------------------------------------------
@@ -584,10 +591,10 @@ def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) 
     gamma the witness geodesic (alpha, beta) of the eta bracket; isotropic:
     e^{t/2} gamma(t) over [0, xi].  Since e_0 is central, this is the normal
     extremal with constants (cosh c, sinh c alpha, sinh c beta), sampled by
-    `ProductExpParams.sample`.  The identity's longest arc is the single
-    point e: one sample whatever `samples` is, since path times strictly
-    increase.  The endpoint gap is checked in the unimodular frame (times
-    e^{-xi/2}).  Unreachable or indeterminate targets raise
+    `ProductExpParams.point_rows` and `control_rows`.  The identity's longest
+    arc is the single point e: one sample whatever `samples` is, since path
+    times strictly increase.  The endpoint gap is checked in the unimodular
+    frame (times e^{-xi/2}).  Unreachable or indeterminate targets raise
     UnreachableTargetError with the report attached.
     """
     if samples < 2:
@@ -596,8 +603,7 @@ def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) 
     if report.causal_class in (CLASS_UNREACHABLE, CLASS_INDETERMINATE):
         raise UnreachableTargetError(report)
     if report.causal_class == CLASS_IDENTITY:  # the point e, reached with the control e0
-        points, controls = ProductExpParams(np.concatenate([[1.0], np.zeros(6)])).sample([0.0])
-        return PathSample(np.array([0.0]), points, controls, None)
+        return PathSample(np.zeros(1), np.eye(2)[None], np.eye(1, 8))
     xi = report.xi
     witness = report.eta.witness
     # No witness means the scalar ray (eta = 0, sinh c = 0): gamma drops out.
@@ -609,11 +615,12 @@ def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) 
         total = math.sqrt(max(xi * xi - eta_w * eta_w, 0.0))
         ch_c, sh_c = xi / total, eta_w / total
     times = np.linspace(0.0, total, samples)
-    points, controls = ProductExpParams(np.concatenate([[ch_c], sh_c * geo])).sample(times)
-    residual = points[-1].distance(g) * math.exp(-xi / 2.0)
+    pp = ProductExpParams(np.concatenate([[ch_c], sh_c * geo]))
+    path = PathSample(times, pp.point_rows(times), pp.control_rows(times))
+    residual = path.points[-1].distance(g) * math.exp(-xi / 2.0)
     if residual > 10.0 * tol:
         raise RuntimeError(f"longest-arc endpoint residual {residual:.3e} exceeds 10*tol")
-    return PathSample(times, points, controls, None)
+    return path
 
 
 def causal_relation(x: Mat2C, y: Mat2C, tol: float = 1e-7, seed: int = 0) -> str:
@@ -712,7 +719,7 @@ def abnormal_extremal(kappa_times, kappa_values, beta_dir, regime: str, steps: i
     if stop < steps:
         u_dual(ks[:, stop])  # raises the step's OverflowError
     controls = np.column_stack([u_start[:, 0], u_end]).T
-    covectors = (CovectorState(np.concatenate([np.zeros(4), -bv])),) * (steps + 1)
+    covectors = np.broadcast_to(np.concatenate([np.zeros(4), -bv]), (steps + 1, 7))  # one row, repeated
     return _recorded_path(np.arange(steps + 1) * h, points, controls, covectors)
 
 
@@ -740,17 +747,14 @@ def nonstrict_abnormal_check(
     if p.points[0].distance(Mat2C.identity()) > 1e-9:
         raise ValueError("path must start at the identity")
     if p.controls is not None:
-        u_arr = np.array([c.u for c in p.controls])
+        u_arr = p.controls.array
         mem_tol = max(tol, 1e-9)
     else:
         if len(p.points) < 3:
             raise ValueError("need at least 3 samples to recover controls")
-        u_list = []
-        for j in range(1, len(p.points) - 1):
-            dt = p.times[j + 1] - p.times[j - 1]
-            deriv = (p.points[j + 1].m - p.points[j - 1].m) / dt
-            u_list.append(to_coords(Mat2C(p.points[j].inverse().m @ deriv)).u)
-        u_arr = np.array(u_list)
+        g, t = p.points.array, p.times  # g' by centred differences at the inner samples
+        dg = [(g[j + 1] - g[j - 1]) / (t[j + 1] - t[j - 1]) for j in range(1, len(g) - 1)]
+        u_arr = np.array([to_coords(Mat2C(p.points[j].inverse().m @ d)).u for j, d in enumerate(dg, 1)])
         dt_max = float(np.max(np.diff(p.times)))
         scale = 1.0 + float(np.max(np.abs(u_arr)))
         mem_tol = max(tol, dt_max * dt_max * scale**3)

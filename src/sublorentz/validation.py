@@ -170,11 +170,8 @@ def criterion_3(res: CriterionResult) -> None:
             path = pontryagin_integrate(psi0, regime, T, steps, record_every=100)
             dev = path.points[-1].distance(normal_extremal(params, T))
             worst_dev = max(worst_dev, dev)
-            m0 = None
-            for cov in path.covectors:
-                m = cov.psi[0] ** 2 - float(np.dot(cov.psi[1:4], cov.psi[1:4]))
-                m0 = m if m0 is None else m0
-                worst_drift = max(worst_drift, abs(m - m0))
+            m = [psi[0] ** 2 - float(np.dot(psi[1:4], psi[1:4])) for psi in path.covectors.array]
+            worst_drift = max(worst_drift, *(abs(x - m[0]) for x in m))
     res.check("final-state-deviation<1e-8", worst_dev < 1e-8, worst_dev)
     res.check("conservation-drift<1e-9", worst_drift < 1e-9, worst_drift)
 

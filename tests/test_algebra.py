@@ -274,11 +274,12 @@ def test_frozen_array_fields(field):
         stored.setflags(write=True)
 
 
-# Each batch-row constructor: (the single constructor, its stored field, a valid row).
+# Each row sequence of a PathSample: (its element's constructor, that element's
+# stored field, the PathSample argument holding the rows, a valid row).
 BATCH_ROWS = {
-    "Mat2C": (Mat2C, "m", np.array([[1.0, 2j], [0.5, -1.0]])),
-    "AlgCoords": (AlgCoords, "u", np.arange(8.0)),
-    "CovectorState": (CovectorState, "psi", np.arange(7.0)),
+    "Mat2C": (Mat2C, "m", "points", np.array([[1.0, 2j], [0.5, -1.0]])),
+    "AlgCoords": (AlgCoords, "u", "controls", np.arange(8.0)),
+    "CovectorState": (CovectorState, "psi", "covectors", np.arange(7.0)),
 }
 
 
@@ -288,17 +289,32 @@ def _error_text(build, value):
     return str(info.value)
 
 
+def _path_rows(slot, batch):
+    """The `slot` rows of a PathSample given `batch` there, identity points otherwise."""
+    n = len(batch)
+    given = {"points": np.broadcast_to(np.eye(2), (n, 2, 2)), slot: batch}
+    return getattr(PathSample(np.arange(float(n)), **given), slot)
+
+
 @pytest.mark.parametrize("kind", BATCH_ROWS)
 def test_batch_rows_are_read_only_views(kind):
-    cls, field, good = BATCH_ROWS[kind]
+    cls, field, slot, good = BATCH_ROWS[kind]
     source = np.stack([good, 2 * good, -good])
-    rows = cls.rows(source)
-    assert [type(r) for r in rows] == [cls] * 3
+    rows = _path_rows(slot, source)
+    assert len(rows) == 3 and [type(r) for r in rows] == [cls] * 3
     stored = [getattr(r, field) for r in rows]
     for got, single in zip(stored, (cls(x) for x in source)):
         assert got.tobytes() == getattr(single, field).tobytes()
         assert got.dtype == getattr(single, field).dtype and got.flags.c_contiguous
+    for j in (0, 2, -1, np.int64(1)):  # indexing builds the same view as iterating
+        assert getattr(rows[j], field).tobytes() == stored[j].tobytes()
+    with pytest.raises(IndexError):
+        rows[3]
+    with pytest.raises(TypeError):  # rows, not slices
+        rows[0:2]
     assert all(np.shares_memory(x, stored[0].base) for x in stored)
+    assert all(np.shares_memory(x, rows.array) for x in stored)
+    assert rows.array.tobytes() == source.astype(rows.array.dtype).tobytes()
     assert not np.shares_memory(stored[0], source)
     with pytest.raises(ValueError):
         stored[1][(0,) * good.ndim] = 7.0
@@ -306,12 +322,19 @@ def test_batch_rows_are_read_only_views(kind):
         stored[1].setflags(write=True)
     with pytest.raises(ValueError):  # nor can the shared batch behind the rows
         stored[1].base.setflags(write=True)
-    assert cls.rows(np.zeros((0, *good.shape))) == ()
+    with pytest.raises(ValueError):
+        rows.array.setflags(write=True)
+    with pytest.raises(AttributeError):
+        rows.array = source
+    assert len(_path_rows(slot, np.zeros((0, *good.shape)))) == 0
+    # a sequence of boundary objects is taken as the same batch
+    assert _path_rows(slot, tuple(rows)).array.tobytes() == rows.array.tobytes()
 
 
 @pytest.mark.parametrize("kind", BATCH_ROWS)
 def test_batch_rows_reject_like_the_single_constructor(kind):
-    cls, _, good = BATCH_ROWS[kind]
+    cls, _, slot, good = BATCH_ROWS[kind]
+    build = lambda batch: _path_rows(slot, batch)  # noqa: E731
     bad_rows = [np.append(good, good.flat[-1]), good.ravel()[:1]]
     for value in [np.nan, np.inf] + ([complex(0.0, np.inf)] if good.dtype.kind == "c" else []):
         bad = good.copy()
@@ -319,17 +342,18 @@ def test_batch_rows_reject_like_the_single_constructor(kind):
         bad_rows.append(bad)
     for bad in bad_rows:
         batch = [good, bad] if bad.shape == good.shape else [bad, bad]
-        assert _error_text(cls.rows, batch) == _error_text(cls, bad)
-    assert "shape" in _error_text(cls.rows, good)  # one row is not a batch
+        assert _error_text(build, batch) == _error_text(cls, bad)
+    assert "shape" in _error_text(build, good)  # one row is not a batch
 
 
 def test_batch_covector_rules_in_single_constructor_order():
     good, zero, nan_row = np.arange(7.0), np.zeros(7), np.array([np.nan] + [0.0] * 6)
-    assert _error_text(CovectorState.rows, [good, zero]) == _error_text(CovectorState, zero)
-    assert "never vanish" in _error_text(CovectorState.rows, [good, zero])
+    build = lambda batch: _path_rows("covectors", batch)  # noqa: E731
+    assert _error_text(build, [good, zero]) == _error_text(CovectorState, zero)
+    assert "never vanish" in _error_text(build, [good, zero])
     # finiteness is checked before the vanishing rule, on every row
-    assert _error_text(CovectorState.rows, [zero, nan_row]) == _error_text(CovectorState, nan_row)
-    assert "finite" in _error_text(CovectorState.rows, [zero, nan_row])
+    assert _error_text(build, [zero, nan_row]) == _error_text(CovectorState, nan_row)
+    assert "finite" in _error_text(build, [zero, nan_row])
 
 
 class TestMat2C:

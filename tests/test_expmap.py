@@ -365,16 +365,16 @@ class TestProductExpParams:
         p = ProductExpParams(alpha)
         assert case != "w1-small" or abs(p.w1) < SMALL_W
         assert case != "w2-small" or abs(p.w2) < SMALL_W
-        points, controls = p.sample(ts)
+        points, controls = p.point_rows(ts), p.control_rows(ts)
         assert len(points) == len(controls) == len(ts)
         b_vec = alpha[4:7]
         nb = float(np.linalg.norm(b_vec))
         for t, point, control in zip(ts.tolist(), points, controls):
-            assert point.m.tobytes() == p.point(t).m.tobytes()
-            assert control.u.tobytes() == p.control(t).u.tobytes()
+            assert point.tobytes() == p.point(t).m.tobytes()
+            assert control.tobytes() == p.control(t).u.tobytes()
             # one scalar-angle Rodrigues product per time
             a_vec = alpha[1:4] if nb == 0.0 else axis_angle_rotation(b_vec / nb, t * nb) @ alpha[1:4]
-            assert control.u.tobytes() == np.concatenate([alpha[:1], a_vec, np.zeros(4)]).tobytes()
+            assert control.tobytes() == np.concatenate([alpha[:1], a_vec, np.zeros(4)]).tobytes()
 
     def test_sample_reports_the_first_bad_time_first(self):
         # w1 = nan + inf i and w2 = inf: point(0) is non-finite without raising,
@@ -382,9 +382,9 @@ class TestProductExpParams:
         with np.errstate(over="ignore", invalid="ignore"):
             p = ProductExpParams([math.sqrt(2.0), 1.0, 0.0, 0.0, 1e300, 0.0, 0.0])
         with pytest.raises(ValueError, match="math domain error"):
-            p.sample([5e9])
+            p.point_rows([5e9])
         with pytest.raises(ValueError, match="matrix entries must be finite"):
-            p.sample([0.0, 5e9])
+            p.point_rows([0.0, 5e9])
 
 
 def test_real_coefficients_give_hermitian_matrix():

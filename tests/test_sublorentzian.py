@@ -1,5 +1,6 @@
 """Normal/abnormal extremals, the minimum-principle integrator, causal structure."""
 
+import gc
 import hashlib
 import io
 import json
@@ -492,6 +493,21 @@ def test_integration_memory_does_not_grow_with_steps(record_every):
         tracemalloc.stop()
     assert len(path.points) == 200_000 // record_every + 1
     assert peak < 4e6, peak
+
+
+def test_abnormal_path_holds_no_object_per_record():
+    # A path keeps one array per kind and builds its Mat2C/AlgCoords/CovectorState
+    # rows only when asked, so holding a 1000-step run adds a handful of objects
+    # for the garbage collector to track, not one or more per record.
+    run = _GOLDEN_RUNS["abnormal"]
+    run()  # first-call caches
+    gc.collect()
+    before = len(gc.get_objects())
+    path = run()
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(path.points) == 1001
+    assert added < 50, added
 
 
 def _dispatched_cpu_features():
