@@ -147,8 +147,6 @@ def cmd_exp(args, cfg: dict) -> int:
 
 
 def cmd_geodesic(args, cfg: dict) -> int:
-    if args.alpha0 is not None and args.kind != "timelike":
-        raise ValueError("--alpha0 applies only to --kind timelike")
     if args.normalize and args.kind == "timelike":
         raise ValueError("--normalize does not apply to --kind timelike (a0 is derived)")
     av = _parse_floats(args.alpha, 3)
@@ -162,13 +160,8 @@ def cmd_geodesic(args, cfg: dict) -> int:
         target_sq = 1.0
     else:
         regime = _REGIMES[args.kind]
-        if args.alpha0 is not None:  # timelike only, checked above
-            params = ExtremalParams(np.concatenate([[args.alpha0], av, bv]), regime)
-        elif regime == REGIME_TIMELIKE:
-            params = ExtremalParams.timelike(av, bv)
-        else:
-            params = ExtremalParams.isotropic(av, bv, normalize=args.normalize)
-        path = extremal_path(params, ts)
+        path = extremal_path(ExtremalParams.timelike(av, bv) if regime == REGIME_TIMELIKE
+                             else ExtremalParams.isotropic(av, bv, normalize=args.normalize), ts)
         target_sq = 1.0 if regime == REGIME_TIMELIKE else 0.0
 
     det_re, det_im, arc_res = [], [], []
@@ -340,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["subriemannian", "timelike", "isotropic"], required=True)
     p.add_argument("--alpha", required=True, help="a1,a2,a3")
     p.add_argument("--beta", default="0,0,0", help="a4,a5,a6")
-    p.add_argument("--alpha0", type=float, default=None,
-                   help="timelike a0 override (default: derived from normalization)")
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--normalize", action="store_true",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgCoords, Mat2C, NotInGLPlusError, _frozen_array, coeff_entries, to_coords
+from .algebra import AlgCoords, Mat2C, NotInGLPlusError, _frozen_array, coeff_entries, coords
 
 # Below this magnitude of w, sinh(wt)/w and sin(wt)/w switch to a 3-term even
 # Taylor expansion to avoid cancellation; the switch is continuous in (w, t).
@@ -64,20 +64,30 @@ class ComplexAlgVec:
     @property
     def w(self) -> complex:
         """Principal branch of (1/2) sqrt(z1^2 + z2^2 + z3^2); results are branch-independent."""
-        return 0.5 * cmath.sqrt(complex(self.z[1] ** 2 + self.z[2] ** 2 + self.z[3] ** 2))
+        return _half_root(self.z)
 
     def matrix(self) -> Mat2C:
         return Mat2C(np.reshape(coeff_entries(*self.z.tolist(), 0j, 0j, 0j, 0j), (2, 2)))
 
 
-def exp_closed(a: ComplexAlgVec, t: float) -> Mat2C:
-    """Closed-form exp(t sum z_i e_i); the w = 0 case degenerates to I + t*(traceless part)."""
-    w = a.w
+def _half_root(z: np.ndarray) -> complex:  # `ComplexAlgVec.w`: inf or nan, unwarned, on overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * cmath.sqrt(complex(z[1] ** 2 + z[2] ** 2 + z[3] ** 2))
+
+
+def _exp_array(z: np.ndarray, t: float) -> np.ndarray:
+    """`exp_closed` of the complex coefficients z, (4,), as a (2, 2) array."""
+    w = _half_root(z)
     m1 = cmath.cosh(w * t)
     n1 = sinch(w, t)
-    scale = cmath.exp(a.z[0] * t / 2.0)
-    traceless = np.reshape(coeff_entries(0j, *a.z[1:].tolist(), 0j, 0j, 0j, 0j), (2, 2))
-    return Mat2C(scale * (m1 * np.eye(2, dtype=complex) + n1 * traceless))
+    scale = cmath.exp(z[0] * t / 2.0)
+    traceless = np.reshape(coeff_entries(0j, *z[1:].tolist(), 0j, 0j, 0j, 0j), (2, 2))
+    return scale * (m1 * np.eye(2, dtype=complex) + n1 * traceless)
+
+
+def exp_closed(a: ComplexAlgVec, t: float) -> Mat2C:
+    """Closed-form exp(t sum z_i e_i); the w = 0 case degenerates to I + t*(traceless part)."""
+    return Mat2C(_exp_array(a.z, t))
 
 
 def exp_series(m: Mat2C) -> Mat2C:
@@ -117,28 +127,60 @@ class PolarDecomposition:
     rotation: Mat2C
 
 
-def _frobenius_sq(g: Mat2C) -> float:
-    """|g|_F^2: a product of g with itself, such as det g, rounds to about eps times this."""
-    return float(np.sum(np.abs(g.m) ** 2))
+def _unit_alpha(av: np.ndarray, zero: str) -> np.ndarray:
+    """av / |av| for the `normalize` options: ValueError(zero) at av = 0, and one, not
+    numpy's warning, when finite entries overflow |av|."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(av)
+    if n == 0.0 or (n == math.inf and np.isfinite(av).all()):
+        raise ValueError(zero if n == 0.0 else "|alpha_vec| overflows double precision")
+    return av / n
+
+
+def _frobenius_sq(g: np.ndarray) -> float:
+    """|g|_F^2, inf past double precision: a product of g with itself, such as det g, rounds to eps times it."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(g) ** 2))
 
 
 def det_split(g: Mat2C) -> tuple[float, np.ndarray]:
     """(xi, g1) with g = e^{xi/2} g1 and det g1 = 1, so xi = ln det g.
 
-    Requires det(g) real and positive and not below 1e-300 in magnitude;
-    raises NotInGLPlusError otherwise.  Real means |Im det| <= 1e-12 max(1,
-    |g|_F^2 / 2): a computed det rounds to about eps |g|_F^2, which grows as
-    2 cosh|X| on a boost-rotation of length |X| (|g|_F^2 >= 2 |det|).
+    Requires det(g) finite, real and positive and not below 1e-300 in
+    magnitude; raises NotInGLPlusError otherwise.  Real means |Im det| <=
+    1e-12 max(1, |g|_F^2 / 2): a computed det rounds to about eps |g|_F^2,
+    which grows as 2 cosh|X| on a boost-rotation of length |X| (|g|_F^2 >= 2 |det|).
     """
-    d = g.det()
-    if abs(d.imag) > 1e-12 * max(1.0, _frobenius_sq(g) / 2.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = g.det()
+    if not cmath.isfinite(d):
+        raise NotInGLPlusError(f"determinant {d} overflows double precision")
+    if abs(d.imag) > 1e-12 * max(1.0, _frobenius_sq(g.m) / 2.0):
         raise NotInGLPlusError(f"determinant {d} is not real")
     if d.real <= 0.0:
         raise NotInGLPlusError(f"determinant {d} is not positive")
     if abs(d) < 1e-300:
         raise NotInGLPlusError("matrix is singular")
     xi = math.log(d.real)
-    return xi, math.exp(-xi / 2.0) * g.m
+    with np.errstate(over="ignore"):
+        return xi, math.exp(-xi / 2.0) * g.m
+
+
+def _polar(g1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, k) of the unimodular g1 = exp(X) k, (2, 2): x = X's H0 coordinates, (3,), and k.
+
+    X is half of log(g1 g1*), whose eigenvalues e^{+-|X|} differ by the length r of its
+    traceless part: |X| = asinh(r/2) is exact to rounding for every |X|, where log(lambda_max
+    / lambda_min) cancels on long boosts.  An r past double precision raises ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = coords(g1 @ g1.conj().T)
+        r = math.sqrt(h[1] ** 2 + h[2] ** 2 + h[3] ** 2)
+    if not math.isfinite(r):
+        raise ValueError(f"polar boost overflows double precision: |traceless(g1 g1*)| = {r}")
+    half = np.zeros(4)
+    if r > 0.0:
+        half[1:] = (math.asinh(r / 2.0) / r) * h[1:4]
+    return half[1:], _exp_array((-half).astype(complex), 1.0) @ g1
 
 
 def polar_decompose(g: Mat2C, unimodular: bool = False) -> PolarDecomposition:
@@ -146,21 +188,11 @@ def polar_decompose(g: Mat2C, unimodular: bool = False) -> PolarDecomposition:
 
     Requires det(g) real and positive (see `det_split`); unimodular=True takes
     det(g) = 1 as checked by the caller, so xi = 0 and g is not rescaled by its
-    computed det, which cancels to eps |g|^2.  X is half of log(g1 g1*), whose
-    eigenvalues e^{+-|X|} differ by the length r of its traceless part:
-    |X| = asinh(r/2) is exact to rounding for every |X|, where
-    log(lambda_max / lambda_min) cancels on long boosts.
+    computed det, which cancels to eps |g|^2.  X and k are `_polar`'s.
     """
     xi, g1 = (0.0, g.m) if unimodular else det_split(g)
-    h = to_coords(Mat2C(g1 @ g1.conj().T)).u
-    r = math.sqrt(h[1] ** 2 + h[2] ** 2 + h[3] ** 2)
-    half = np.zeros(8)
-    if r > 0.0:
-        half[1:4] = (math.asinh(r / 2.0) / r) * h[1:4]
-    boost = AlgCoords(half)
-    p_inv = exp_closed(ComplexAlgVec.from_reals(-half[:4]), 1.0)
-    k = Mat2C(p_inv.m @ g1)
-    return PolarDecomposition(xi, boost, k)
+    x, k = _polar(g1)
+    return PolarDecomposition(xi, AlgCoords(np.concatenate([[0.0], x, np.zeros(4)])), Mat2C(k))
 
 
 def su2_exp(c) -> Mat2C:
@@ -327,14 +359,5 @@ class ProductExpParams:
     def point_two_factor(self, t: float) -> Mat2C:
         """Same curve evaluated as an explicit product of the two exponentials."""
         a = self.alpha
-        first = exp_closed(
-            ComplexAlgVec(
-                np.array(
-                    [a[0], a[1] + 1j * a[4], a[2] + 1j * a[5], a[3] + 1j * a[6]],
-                    dtype=complex,
-                )
-            ),
-            t,
-        )
-        second = su2_exp(-t * a[4:7])
-        return Mat2C(first.m @ second.m)
+        first = _exp_array(np.array([a[0], a[1] + 1j * a[4], a[2] + 1j * a[5], a[3] + 1j * a[6]]), t)
+        return Mat2C(first @ su2_exp(-t * a[4:7]).m)

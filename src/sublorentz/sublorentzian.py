@@ -30,9 +30,8 @@ import numpy as np
 
 from .algebra import (
     AlgCoords, Mat2C, _frozen_array, _Rows, _stacked, coeff_entries, format_float, to_coords)
-from .expmap import ProductExpParams, aligning_rotation, det_split, sinc_scaled, sinch
-from .subriemannian import (
-    _EXACT_TIE_TOL, _EXACT_WIDTH, _ZERO_LENGTH, DistanceBracket, _shoot_front, _shoot_search)
+from .expmap import ProductExpParams, _unit_alpha, aligning_rotation, det_split, sinc_scaled, sinch
+from .subriemannian import _EXACT_TIE_TOL, _EXACT_WIDTH, _ZERO_LENGTH, DistanceBracket, _shoot
 
 REGIME_TIMELIKE = "timelike-normal"
 REGIME_ISOTROPIC = "isotropic-normal"
@@ -66,7 +65,8 @@ class ExtremalParams:
 
     def __post_init__(self):
         a = _frozen_array(self.alpha, float, (7,), "constants")
-        norm_sq = float(np.dot(a[1:4], a[1:4]))
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.dot(a[1:4], a[1:4]))
         if self.regime == REGIME_TIMELIKE:
             residual = a[0] - math.sqrt(1.0 + norm_sq)
             if abs(residual) > 1e-12:
@@ -87,7 +87,8 @@ class ExtremalParams:
     def timelike(cls, alpha_vec, beta_vec) -> "ExtremalParams":
         av = np.asarray(alpha_vec, dtype=float)
         bv = np.asarray(beta_vec, dtype=float)
-        a0 = math.sqrt(1.0 + float(np.dot(av, av)))
+        with np.errstate(over="ignore"):  # an overflowing |a_vec|^2 gives a0 = inf, refused below
+            a0 = math.sqrt(1.0 + float(np.dot(av, av)))
         return cls(np.concatenate([[a0], av, bv]), REGIME_TIMELIKE)
 
     @classmethod
@@ -95,10 +96,7 @@ class ExtremalParams:
         av = np.asarray(alpha_vec, dtype=float)
         bv = np.asarray(beta_vec, dtype=float)
         if normalize:
-            n = np.linalg.norm(av)
-            if n == 0.0:
-                raise ValueError("isotropic regime requires a nonzero alpha_vec")
-            av = av / n
+            av = _unit_alpha(av, "isotropic regime requires a nonzero alpha_vec")
         return cls(np.concatenate([[1.0], av, bv]), REGIME_ISOTROPIC)
 
     def product_params(self) -> ProductExpParams:
@@ -572,15 +570,7 @@ def causal_classify(
     a non-boost target runs no solve and reports [lower, inf) with no witness.
     """
     xi, g1 = det_split(g)
-    g1 = Mat2C(g1)
-    bracket = _shoot_front(g1, tol, budget)
-    if not isinstance(bracket, DistanceBracket):  # not the identity, a boost or a rotation
-        pd, lower = bracket
-        margin = max(tol, _EXACT_TIE_TOL * max(1.0, abs(xi), lower + _EXACT_WIDTH))
-        if xi < lower - margin:
-            bracket = DistanceBracket(lower, math.inf, False, None)
-        else:
-            bracket = _shoot_search(g1, pd, lower, tol, budget, seed)
+    bracket = _shoot(g1, tol, budget, seed, xi)
     return CausalReport(xi, bracket, _causal_class(xi, bracket, tol))
 
 

@@ -17,7 +17,7 @@ solution above.
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 from dataclasses import asdict, dataclass
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import AlgCoords, Mat2C, _frozen_array, coeff_entries, from_coords
 from .expmap import (SMALL_W, ProductExpParams, _curve_coefficients, _curve_w, _frobenius_sq,
-                     exp_series, polar_decompose)
+                     _polar, _unit_alpha, exp_series)
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -111,22 +111,18 @@ class SRGeodesicParams:
     def __post_init__(self):
         a = _frozen_array(self.alpha_vec, float, (3,), "alpha_vec")
         b = _frozen_array(self.beta_vec, float, (3,), "beta_vec")
-        if abs(np.dot(a, a) - 1.0) > 1e-12:
-            raise ValueError(
-                "alpha_vec must be a unit vector: |alpha|^2 - 1 = "
-                f"{np.dot(a, a) - 1.0:.3e} exceeds 1e-12"
-            )
+        with np.errstate(over="ignore"):
+            excess = np.dot(a, a) - 1.0
+        if abs(excess) > 1e-12:
+            raise ValueError(f"alpha_vec must be a unit vector: |alpha|^2 - 1 = {excess:.3e} exceeds 1e-12")
         object.__setattr__(self, "alpha_vec", a)
         object.__setattr__(self, "beta_vec", b)
 
     @classmethod
     def normalized(cls, alpha_vec, beta_vec) -> "SRGeodesicParams":
         """Construct with alpha_vec rescaled to unit length (rejects the zero vector)."""
-        a = np.asarray(alpha_vec, dtype=float)
-        n = np.linalg.norm(a)
-        if n == 0.0:
-            raise ValueError("alpha_vec must be nonzero")
-        return cls(a / n, np.asarray(beta_vec, dtype=float))
+        a = _unit_alpha(np.asarray(alpha_vec, dtype=float), "alpha_vec must be nonzero")
+        return cls(a, np.asarray(beta_vec, dtype=float))
 
     def product_params(self) -> ProductExpParams:
         return ProductExpParams(np.concatenate([[0.0], self.alpha_vec, self.beta_vec]))
@@ -150,10 +146,16 @@ def boost_distance(x: AlgCoords) -> float:
     return float(np.linalg.norm(x.u[1:4]))
 
 
-def _require_unimodular(g1: Mat2C) -> None:
-    d = g1.det()
-    if abs(d - 1.0) > max(_UNIMODULAR_TOL, _DET_ROUNDING * _EPS * _frobenius_sq(g1)):
+def _require_unimodular(g1: np.ndarray) -> float:
+    """Reject a (2, 2) g1 off SL(2,C) or past double precision; return |g1|_F^2."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = g1[0, 0] * g1[1, 1] - g1[0, 1] * g1[1, 0]
+    frob = _frobenius_sq(g1)
+    if not (cmath.isfinite(d) and math.isfinite(frob)):
+        raise ValueError(f"target overflows double precision: det = {d}, |g1|_F^2 = {frob}")
+    if abs(d - 1.0) > max(_UNIMODULAR_TOL, _DET_ROUNDING * _EPS * frob):
         raise ValueError(f"target must be unimodular, det = {d}")
+    return frob
 
 
 def distance_lower_bound(g1: Mat2C) -> float:
@@ -164,8 +166,8 @@ def distance_lower_bound(g1: Mat2C) -> float:
     rounding on SU(2).  acosh(tr(g1 g1*)/2) is the same ln(lambda_max(g1 g1*)),
     but cancels on short boosts and near SU(2).
     """
-    _require_unimodular(g1)
-    return boost_distance(polar_decompose(g1, unimodular=True).boost)
+    _require_unimodular(g1.m)
+    return float(np.linalg.norm(_polar(g1.m)[0]))
 
 
 def cut_bound(beta: float) -> float:
@@ -247,25 +249,22 @@ _DQ_SERIES = (693 / 6656, -315 / 2816, 35 / 288, -15 / 112, 3 / 20, -1 / 6)
 _DQ_SERIES_RADIUS = 1e-2
 
 
-@functools.lru_cache(maxsize=4)
-def _skew_functionals(g: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """G = F(g) and K_j = F(g E_j) of `_fixed_point_rows`, once per target, and
-    once for the polar rotation k that seeds the polish (`_shoot_search`)."""
-    (m00, m01), (m10, m11) = (np.reshape(g, (2, 2)) @ _SU2_UNITS).transpose(1, 2, 0)  # g, g E_j
-    FK = np.stack([m01 + m10, 1j * (m10 - m01), m00 - m11, (m00 + m11) / 2.0], axis=1)
-    FK.flags.writeable = False  # every caller shares these arrays through the cache
-    return FK[0], FK[1:]
+def _skew_functionals(g: np.ndarray) -> np.ndarray:
+    """FK of `_fixed_point_rows` for the (2, 2) g: G = F(g), then K_j = F(g E_j).  `_shoot`
+    computes it once per searched target, and once for the polar rotation k seeding the polish."""
+    (m00, m01), (m10, m11) = (g @ _SU2_UNITS).transpose(1, 2, 0)  # g, g E_j
+    return np.stack([m01 + m10, 1j * (m10 - m01), m00 - m11, (m00 + m11) / 2.0], axis=1)
 
 
-def _fixed_point_rows(c: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarray, ...]:
+def _fixed_point_rows(c: np.ndarray, FK: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray, ...]:
     """Shooting residual r = skew(log(g exp(c))) - c of each row of c, (N, 3), its
     exact Jacobian dr/dc, (N, 3, 3), and herm(log(g exp(c))), (N, 3), from one
     pass; sums term by term.  The one home of the shooting logarithm.
 
-    Row j takes log branch branch[j]; g is given by its four entries.  The
-    functionals F = (P, mu) of M, P = (m01 + m10, i (m10 - m01), m00 - m11) and
-    mu = tr M / 2, are F = cs G + s (c.K) on M = g exp(c) (`_SU2_UNITS`; cs =
-    cos(n/2), s = sin(n/2)/n, n = |c|), G = F(g), K_j = F(g E_j).  The log is
+    Row j takes log branch branch[j]; g is given by FK = `_skew_functionals(g)`,
+    its G = F(g) and K_j = F(g E_j).  The functionals F = (P, mu) of M, P = (m01 +
+    m10, i (m10 - m01), m00 - m11) and mu = tr M / 2, are F = cs G + s (c.K) on
+    M = g exp(c) (`_SU2_UNITS`; cs = cos(n/2), s = sin(n/2)/n, n = |c|).  The log is
     L = q (M - mu I) = l_p (2 Pi - I), Pi the projector onto the eigenline of
     mu_+, the larger of mu +- sqrt(mu^2 - 1), l_p = log(mu_+) + 2 pi i k on
     branch k, so q = 2 l_p / gap, gap = mu_+ - mu_-.  A gap below 1e-8 (mu = +-1)
@@ -277,7 +276,7 @@ def _fixed_point_rows(c: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.n
     n = 0), and q' = (1 - mu q)/(mu^2 - 1), or `_DQ_SERIES` on branch 0 near +I
     (degenerate set included), so J_ij = Im(q' dmu_j P_i + q dP_ij) - delta_ij.
     """
-    G, K = _skew_functionals(g)
+    G, K = FK[0], FK[1:]
     c0, c1, c2 = c[:, 0:1], c[:, 1:2], c[:, 2:3]
     n = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     cs = np.cos(n / 2.0)
@@ -363,7 +362,7 @@ def _dogleg_step(J: np.ndarray, f: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return p
 
 
-def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dogleg_rows(x0: np.ndarray, FK: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve `_fixed_point_rows` = 0 from every row of x0 at once: (x, converged).
 
     Powell's hybrid method (Powell, A hybrid method for nonlinear equations,
@@ -381,7 +380,7 @@ def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarr
     """
     x, out, idx = x0.copy(), x0.copy(), np.arange(len(x0))
     converged = np.zeros(len(x), dtype=bool)
-    f, J, _ = _fixed_point_rows(x, g, branch)
+    f, J, _ = _fixed_point_rows(x, FK, branch)
     fnorm, xnorm = _norm3(f), _norm3(x)
     delta = np.where(xnorm > 0.0, 100.0 * xnorm, 100.0)
     for it in range(_DOGLEG_ITERATIONS):
@@ -390,7 +389,7 @@ def _dogleg_rows(x0: np.ndarray, g: tuple, branch: np.ndarray) -> tuple[np.ndarr
         if it == 0:
             delta = np.minimum(delta, pnorm)
         trial = x + p
-        f_trial, J_trial, _ = _fixed_point_rows(trial, g, branch)
+        f_trial, J_trial, _ = _fixed_point_rows(trial, FK, branch)
         fnorm_trial = _norm3(f_trial)
         with np.errstate(divide="ignore", invalid="ignore"):
             actual = np.where(fnorm_trial < fnorm, 1.0 - (fnorm_trial / fnorm) ** 2, -1.0)
@@ -438,7 +437,7 @@ def _candidate(g1_entries: np.ndarray, x: np.ndarray):
     return T, x[:3] / T, x[3:] / T, float(np.max(np.abs(gap[:4] + 1j * gap[4:])))
 
 
-def _certified(g1_entries: np.ndarray, roots: np.ndarray, branch: np.ndarray,
+def _certified(g1_entries: np.ndarray, FK: np.ndarray, roots: np.ndarray, branch: np.ndarray,
                tol: float) -> list[tuple]:
     """The `_candidate`s below tol of the distinct roots (equal branch and root to
     _ROOT_DIGITS decimals), in first-seen order.  T alpha is the Hermitian part of
@@ -447,7 +446,7 @@ def _certified(g1_entries: np.ndarray, roots: np.ndarray, branch: np.ndarray,
     for k, key in enumerate(zip(branch.tolist(), map(tuple, np.round(roots, _ROOT_DIGITS).tolist()))):
         distinct.setdefault(key, k)
     rows = list(distinct.values())
-    f, _, herm = _fixed_point_rows(roots[rows], tuple(g1_entries.tolist()), branch[rows])
+    f, _, herm = _fixed_point_rows(roots[rows], FK, branch[rows])
     cands = [_candidate(g1_entries, np.concatenate([v, x]))
              for x, v, refused in zip(roots[rows], herm, (f == 1e6).all(axis=1)) if not refused]
     return [cand for cand in cands if cand is not None and cand[3] < tol]
@@ -471,8 +470,8 @@ def distance_shoot(
 ) -> DistanceBracket:
     """Bracket the distance from the identity to a unimodular target.
 
-    g1 is unimodular when |det g1 - 1| <= max(1e-9, 8 eps |g1|_F^2), the
-    larger of a fixed floor and det's own rounding error.
+    g1 is unimodular when |det g1 - 1| <= max(1e-9, 8 eps |g1|_F^2), the larger of a fixed
+    floor and det's own rounding error; a det g1 or |g1|_F^2 past double precision is refused.
     Strategy: positive definite Hermitian targets are exact.  g1 counts as
     one when the rotation factor k of its polar decomposition is within
     4 eps |g1|_F^2 of I (Frobenius): k is read off products of g1 with
@@ -493,11 +492,11 @@ def distance_shoot(
     is the shortest such candidate, whatever its length or |beta|.  When that
     leaves the bracket wider than tol, a bounded Levenberg-Marquardt polish
     (`least_squares`) refines one start seeded from the polar decomposition.
-    The lower end is the projection bound |X| of the one polar decomposition
-    g1 = exp(X) k (`distance_lower_bound`), and that one value is also the
-    boost witness length (boost brackets are exactly [|X|, |X|]), the
-    rotation-fiber test and the polish gate.
-    tol must be finite and positive.  Deterministic for a fixed seed.
+    The lower end is the projection bound |X| of the one polar decomposition g1 = exp(X) k
+    (`distance_lower_bound`), and that one value is also the boost witness length (boost
+    brackets are exactly [|X|, |X|]), the rotation-fiber test and the polish gate.  tol must
+    be finite and positive.  Deterministic for a fixed seed.  `_shoot` does all this on g1's
+    entries; `causal_classify` runs it too, given xi, and may stop at the lower end.
 
     tol has two roles: it certifies a witness's endpoint residual, and
     `converged` is set when the bracket is narrower than the same tol.  A
@@ -522,49 +521,47 @@ def distance_shoot(
          (the closed-form fiber witness, lambda = i pi, is of this kind).
       4. The polish runs only when |X|, the lower end, exceeds 1e-6.
     """
-    front = _shoot_front(g1, tol, budget)
-    if isinstance(front, DistanceBracket):
-        return front
-    return _shoot_search(g1, *front, tol, budget, seed)
+    return _shoot(g1.m, tol, budget, seed)
 
 
-def _shoot_front(g1: Mat2C, tol: float, budget: int) -> DistanceBracket | tuple:
-    """The checks of `distance_shoot` and its bracket of the identity, a boost
-    or a rotation; else the one polar decomposition of g1 and its `lower`."""
-    _require_unimodular(g1)
+def _shoot(g1: np.ndarray, tol: float, budget: int, seed: int,
+           xi: float | None = None) -> DistanceBracket:
+    """`distance_shoot` of the (2, 2) array g1, in order: its checks; the identity,
+    boost and rotation brackets; with xi = ln det g given (`causal_classify`), the
+    [lower, inf) of a target the lower end alone shows unreachable, with no solve;
+    then the multistart and the polish."""
+    frob = _require_unimodular(g1)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    if float(np.max(np.abs(g1.m - _I2))) <= _IDENTITY_TOL:
+    if float(np.max(np.abs(g1 - _I2))) <= _IDENTITY_TOL:
         return DistanceBracket(0.0, 0.0, True, None)
 
-    pd = polar_decompose(g1, unimodular=True)
-    lower = boost_distance(pd.boost)  # `distance_lower_bound`, from the one decomposition
-    if pd.rotation.distance(Mat2C.identity()) <= _BOOST_ROUNDING * _EPS * _frobenius_sq(g1):
+    x, k = _polar(g1)
+    lower = float(np.linalg.norm(x))  # `distance_lower_bound`, from the one decomposition
+    g1_entries = g1.ravel()
+    if float(np.linalg.norm(k - _I2)) <= _BOOST_ROUNDING * _EPS * frob:
         # Boost target: the one-parameter subgroup through it is a metric line.
         # lower > 2e-12 here, since a g1 within _IDENTITY_TOL of I has returned,
         # so `_candidate` never returns None on this path.
-        _, av, bv, res = _candidate(g1.m.ravel(), np.concatenate([pd.boost.u[1:4], np.zeros(3)]))
+        _, av, bv, res = _candidate(g1_entries, np.concatenate([x, np.zeros(3)]))
         return DistanceBracket(lower, lower, True, GeodesicWitness(SRGeodesicParams(av, bv), lower, res))
-    if lower <= _ZERO_LENGTH:
-        # Rotation target: no solve can give a witness (see `distance_shoot`).
+    # No solve can give a rotation a witness (see `distance_shoot`).  Given xi, a target below lower
+    # beyond the exact tie window is unreachable whatever the search finds, since eta >= lower.
+    if lower <= _ZERO_LENGTH or (xi is not None and xi < lower - max(
+            tol, _EXACT_TIE_TOL * max(1.0, abs(xi), lower + _EXACT_WIDTH))):
         return DistanceBracket(lower, math.inf, False, None)
-    return pd, lower
 
-
-def _shoot_search(g1: Mat2C, pd, lower: float, tol: float, budget: int,
-                  seed: int) -> DistanceBracket:
-    """The multistart and polish of `distance_shoot` on a target `_shoot_front` left open."""
     rng = np.random.default_rng(seed)
     n_starts = max(4, budget // len(_BRANCHES))
     starts = _shooting_starts(rng, n_starts - 1, 13.0)
     # One row per (branch, start) pair, branch-major, the first `budget` of them.
     branch = np.repeat(_BRANCHES, len(starts))[:budget]
-    g1_entries = g1.m.ravel()
     x0 = np.tile(starts, (len(_BRANCHES), 1))[:budget]
-    roots, converged = _dogleg_rows(x0, tuple(g1_entries.tolist()), branch)
-    feasible = _certified(g1_entries, roots[converged], branch[converged], tol)
+    FK = _skew_functionals(g1)
+    roots, converged = _dogleg_rows(x0, FK, branch)
+    feasible = _certified(g1_entries, FK, roots[converged], branch[converged], tol)
     tight = bool(feasible) and min(f[0] for f in feasible) <= lower + tol
 
     # Polish stage: the fixed-point Jacobian degenerates near the positive definite
@@ -573,11 +570,9 @@ def _shoot_search(g1: Mat2C, pd, lower: float, tol: float, budget: int,
     # decomposition is refined by least squares, unless the bracket is already tight.
     if not tight and lower > _POLISH_MIN_LOWER:
         # Its c is -skew(log k): the residual at c = 0, where g exp(c) = g exactly, and g = k.
-        k = tuple(pd.rotation.m.ravel().tolist())
-        skew_log_k = _fixed_point_rows(np.zeros((1, 3)), k, np.zeros(1, dtype=int))[0][0]
+        skew_log_k = _fixed_point_rows(np.zeros((1, 3)), _skew_functionals(k), np.zeros(1, dtype=int))[0][0]
         if not (skew_log_k == 1e6).all():
-            x_seed = np.concatenate([pd.boost.u[1:4], -skew_log_k])
-            polished = _polish_candidate(g1_entries, x_seed, tol)
+            polished = _polish_candidate(g1_entries, np.concatenate([x, -skew_log_k]), tol)
             if polished is not None:
                 feasible.append(polished)  # below tol: _polish_candidate checks
 

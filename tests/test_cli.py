@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import argparse
 
@@ -53,6 +54,36 @@ class TestExp:
         code, _, err = run(capsys, "exp", "--coeffs", "1,0,0", "--t", "1")
         assert code == 2
         assert "error" in err
+
+
+def _matrix(a00, a01, a10, a11) -> str:
+    return json.dumps({"m": [[[a00, 0], [a01, 0]], [[a10, 0], [a11, 0]]]})
+
+
+_TARGET_OVERFLOWS = "target overflows double precision: det = {}, |g1|_F^2 = inf"
+_BOOST_OVERFLOWS = "polar boost overflows double precision: |traceless(g1 g1*)| = inf"
+# Inputs that overflow double precision, with the one error line each gives.
+_OVERFLOWING = [
+    *[([cmd, "--matrix", _matrix(1e200, 0, 0, 1e-200)], _TARGET_OVERFLOWS.format("(1+0j)"))
+      for cmd in ("classify", "distance", "longest-arc")],  # unimodular; g g* overflows
+    *[([cmd, "--matrix", _matrix(1e160, 1e160, 1e160, 1e160)],
+       "determinant (nan+0j) overflows double precision") for cmd in ("classify", "longest-arc")],
+    (["distance", "--matrix", _matrix(1e160, 1e160, 1e160, 1e160)],
+     _TARGET_OVERFLOWS.format("(nan+0j)")),  # det is inf - inf
+    (["classify", "--matrix", _matrix(1e300, 0, 0, 1e300)],
+     "determinant (inf+0j) overflows double precision"),
+    (["distance", "--matrix", _matrix(1e154, 0, 0, 1e154)], _TARGET_OVERFLOWS.format("(1e+308+0j)")),
+    *[([cmd, "--matrix", _matrix(1e100, 0, 0, 1e-100)], _BOOST_OVERFLOWS)
+      for cmd in ("classify", "distance", "longest-arc")],  # |X| = 230: r^2 overflows
+    (["exp", "--coeffs", "0,1e200,0,0"], "matrix entries must be finite"),
+    (["geodesic", "--kind", "subriemannian", "--alpha", "1e200,0,0"],
+     "alpha_vec must be a unit vector: |alpha|^2 - 1 = inf exceeds 1e-12"),
+    (["geodesic", "--kind", "timelike", "--alpha", "1e200,0,0"], "constants entries must be finite"),
+    (["geodesic", "--kind", "isotropic", "--alpha", "1e200,0,0"],
+     "isotropic regime requires a0 = |a_vec| = 1; residual inf"),
+    *[(["geodesic", "--kind", kind, "--alpha", "1e200,0,0", "--normalize"],
+       "|alpha_vec| overflows double precision") for kind in ("subriemannian", "isotropic")],
+]
 
 
 class TestGeodesic:
@@ -138,22 +169,31 @@ class TestGeodesic:
         assert out == "" and err == "error: math range error\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    def test_overflowing_constants_write_one_error_line(self, fresh_python):
+    def test_overflowing_constants_write_one_error_line(self, capsys, fresh_python):
         # A new interpreter, so numpy's warnings reach stderr as they would in a shell.
         proc = fresh_python("-m", "sublorentz.cli", "geodesic", "--kind", "timelike",
                             "--alpha", "1,0,0", "--beta", "1e300,0,0", "--t-max", "1e10")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        # Only |g|_F^2 overflows: the class is read off det g = 1e308, with nothing on stderr.
+        proc = fresh_python("-m", "sublorentz.cli", "classify", "--matrix", _matrix(1e154, 0, 0, 1e154))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        result = parse_payload(proc.stdout)["result"]
+        assert (result["class"], result["eta"]["upper"]) == ("timelike", 0.0)
+        assert abs(result["xi"] - 709.19620864) < 1e-8
+        # In process, any numpy warning is an error here, so one `error:` line is all.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv, message in _OVERFLOWING:
+                assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--kind", "subriemannian", "--alpha", "1,0,0", "--alpha0", "1.5"],
-            ["--kind", "isotropic", "--alpha", "1,0,0", "--alpha0", "1.5"],
             ["--kind", "timelike", "--alpha", "0.3,0,0", "--normalize"],
         ],
-        ids=["alpha0-subriemannian", "alpha0-isotropic", "normalize-timelike"],
+        ids=["normalize-timelike"],
     )
     def test_option_ignored_by_kind_exit_code(self, capsys, argv):
         code, out, err = run(capsys, "geodesic", *argv, "--samples", "3")
@@ -617,6 +657,7 @@ class TestOptions:
             (("exp",), "--step", "3"),
             (("geodesic",), "--step", "0.1"),
             (("geodesic",), "--seed", "1"),
+            (("geodesic",), "--alpha0", "1.4142135623730951"),  # a0 is derived from --alpha
             (("classify",), "--step", "0.1"),
             (("distance",), "--step", "0.1"),
             (("longest-arc",), "--step", "0.1"),
@@ -660,7 +701,7 @@ class TestOptions:
     def test_option_count(self):
         pairs = [(names, a.dest) for names, leaf in _leaf_parsers()
                  for a in leaf._actions if a.dest != "help"]
-        assert len(pairs) == 47
+        assert len(pairs) == 46
 
 
 class TestReadme:

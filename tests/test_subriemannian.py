@@ -395,23 +395,45 @@ class TestDistanceShoot:
                 assert distance_shoot(_BOOST_ROTATION).to_json() == multistart
 
     def test_shooting_builds_few_matrices(self, monkeypatch):
-        # The residual, the certification of each root and the polish work on
-        # arrays and scalars: the few Mat2C built do not grow with the roots.
+        # The front, the residual, the certification of each root and the polish
+        # work on arrays and scalars: neither `distance_shoot` nor `causal_classify`
+        # builds a boundary object, on any kind of target.
+        from sublorentz import PolarDecomposition, causal_classify
+
         built = []
-        init = Mat2C.__init__
-
-        def counting_init(obj, *args, **kwargs):
-            built.append(1)
-            init(obj, *args, **kwargs)
-
         *entries, _ = TestBatchedShooting._HARD_TARGETS[0]
         targets = [(sr_geodesic(params([0.6, 0.8, 0.0], [0.3, -0.4, 1.1]), 0.8), 5),
-                   (Mat2C(np.reshape(entries, (2, 2))), 0)]
-        monkeypatch.setattr(Mat2C, "__init__", counting_init)
-        for target, seed in targets:
+                   (Mat2C(np.reshape(entries, (2, 2))), 0), (Mat2C.identity(), 0),
+                   (boost([0.3, -0.5, 0.8], 1.2), 0), (su2_exp([0.4, 1.0, -0.3]), 0)]
+        # xi = 0 decides the two searched targets by their lower end; xi = 4 searches them.
+        scaled = [[Mat2C(math.exp(xi / 2.0) * g1.m) for xi in (0.0, 4.0)] for g1, _ in targets]
+        for cls in (Mat2C, AlgCoords, ComplexAlgVec, PolarDecomposition):
+            def counting_init(obj, *args, _init=cls.__init__, **kwargs):
+                built.append(type(obj).__name__)
+                _init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        for (target, seed), gs in zip(targets, scaled):
             built.clear()
             distance_shoot(target, seed=seed)
-            assert len(built) < 10
+            for g in gs:
+                causal_classify(g, seed=seed)
+            assert built == []
+
+    def test_functionals_once_per_matrix(self, monkeypatch):
+        # Every residual pass of a searched target reads its functionals, and the
+        # polish seed those of the polar rotation k: two computations in all.
+        calls = []
+        functionals = subriemannian._skew_functionals
+
+        def counting_functionals(g):
+            calls.append(g)
+            return functionals(g)
+
+        monkeypatch.setattr(subriemannian, "_skew_functionals", counting_functionals)
+        rows = _count_rows(monkeypatch)
+        distance_shoot(_BOOST_ROTATION)  # never tight, so the polish runs
+        assert rows and len(calls) <= 2
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -529,6 +551,11 @@ def _entries(m: np.ndarray) -> tuple:
     return tuple(m.ravel().tolist())
 
 
+def _fk(g: tuple) -> np.ndarray:
+    """The functionals `subriemannian._fixed_point_rows` reads, of g given by its four entries."""
+    return subriemannian._skew_functionals(np.reshape(g, (2, 2)))
+
+
 def _log_sl2(m00: complex, m01: complex, m10: complex, m11: complex, branch: int):
     """Entries of the traceless logarithm of the unimodular [[m00, m01], [m10, m11]].
 
@@ -582,7 +609,7 @@ def _fixed_point(c: np.ndarray, g: tuple, branch: int) -> list[float]:
 def _row_log(g: tuple, c: np.ndarray, branch: int) -> np.ndarray | None:
     """The logarithm of g su2_exp(c) that `subriemannian._fixed_point_rows` solves on,
     built from its Hermitian coordinates and its skew ones, residual + c; None if refused."""
-    f, _, herm = subriemannian._fixed_point_rows(c[None], g, np.array([branch]))
+    f, _, herm = subriemannian._fixed_point_rows(c[None], _fk(g), np.array([branch]))
     if (f == 1e6).all():
         return None
     return from_coords(np.concatenate([[0.0], herm[0], f[0] + c])).m
@@ -679,10 +706,10 @@ class TestShootingLog:
         tol = 1e-7
         starts = subriemannian._shooting_starts(rng, 240 // 7 - 1, 13.0)
         branch = np.repeat(self.BRANCHES, len(starts))
-        roots, _ = subriemannian._dogleg_rows(np.tile(starts, (7, 1)), g, branch)
+        roots, _ = subriemannian._dogleg_rows(np.tile(starts, (7, 1)), _fk(g), branch)
         # The final point of every row, converged or not, goes through the
         # certification that `distance_shoot` runs on its converged roots.
-        assert subriemannian._certified(g1.m.ravel(), roots, branch, tol) == []
+        assert subriemannian._certified(g1.m.ravel(), _fk(g), roots, branch, tol) == []
 
     @pytest.mark.parametrize("b", [0.0, 0.3])
     def test_minus_identity_has_no_canonical_log(self, b):
@@ -703,7 +730,7 @@ class TestBatchedShooting:
     @staticmethod
     def _agree(g, c, branch):
         # The residual, and the Hermitian coordinates of the logarithm where it has one.
-        got, _, herm = subriemannian._fixed_point_rows(c, g, branch)
+        got, _, herm = subriemannian._fixed_point_rows(c, _fk(g), branch)
         for row, h, x, b in zip(got, herm, c, branch.tolist()):
             want = np.array(_fixed_point(x, g, b))
             assert (row == 1e6).all() == (want == 1e6).all(), (x, b)
@@ -731,7 +758,7 @@ class TestBatchedShooting:
                   [[1.0 + 1e-10, b], [0.0, 1.0 / (1.0 + 1e-10)]]):
             g = _entries(np.array(M, dtype=complex))
             self._agree(g, c, branch)
-            f, J, _ = subriemannian._fixed_point_rows(c, g, branch)
+            f, J, _ = subriemannian._fixed_point_rows(c, _fk(g), branch)
             sentinel = (f == 1e6).all(axis=1)
             assert sentinel.tolist() == [M[0][0] < 0 or k != 0 for k in branch.tolist()]
             assert (J[sentinel] == 0.0).all()  # refused rows carry no Jacobian
@@ -740,7 +767,7 @@ class TestBatchedShooting:
         c = rng.normal(size=(7, 3))
         c *= (2.0 * math.pi / np.linalg.norm(c, axis=1))[:, None]
         self._agree(_entries(np.eye(2, dtype=complex)), c, branch)
-        f, J, _ = subriemannian._fixed_point_rows(c, _entries(np.eye(2)), branch)
+        f, J, _ = subriemannian._fixed_point_rows(c, _fk(_entries(np.eye(2))), branch)
         assert (f == 1e6).all() and (J == 0.0).all()
 
     # Boost-rotation targets of the benchmark corpus (`bench/workloads.py`
@@ -769,15 +796,16 @@ class TestBatchedShooting:
 
 def _differences(c, g, branch, h):
     """Forward and backward differences, (N, 3, 3) each, of the shooting residual."""
-    f = subriemannian._fixed_point_rows(c, g, branch)[0]
-    fwd = [(subriemannian._fixed_point_rows(c + e, g, branch)[0] - f) / h for e in h * np.eye(3)]
-    bwd = [(f - subriemannian._fixed_point_rows(c - e, g, branch)[0]) / h for e in h * np.eye(3)]
+    FK = _fk(g)
+    f = subriemannian._fixed_point_rows(c, FK, branch)[0]
+    fwd = [(subriemannian._fixed_point_rows(c + e, FK, branch)[0] - f) / h for e in h * np.eye(3)]
+    bwd = [(f - subriemannian._fixed_point_rows(c - e, FK, branch)[0]) / h for e in h * np.eye(3)]
     return np.stack(fwd, axis=2), np.stack(bwd, axis=2)
 
 
 def _jacobian_error(c, g, branch, h) -> np.ndarray:
     """Per row, max |J - central difference| over max(1, max |J|)."""
-    J = subriemannian._fixed_point_rows(c, g, branch)[1]
+    J = subriemannian._fixed_point_rows(c, _fk(g), branch)[1]
     fwd, bwd = _differences(c, g, branch, h)
     return np.max(np.abs(J - (fwd + bwd) / 2.0), axis=(1, 2)) / np.maximum(
         1.0, np.max(np.abs(J), axis=(1, 2)))
@@ -843,7 +871,7 @@ class TestShootingJacobian:
         assume(abs(mu * mu - 1.0) > 1e-3)
         branch = np.array([branch])
         fwd, bwd = _differences(c, _entries(g1), branch, 1e-6)
-        J = subriemannian._fixed_point_rows(c, _entries(g1), branch)[1]
+        J = subriemannian._fixed_point_rows(c, _fk(_entries(g1)), branch)[1]
         scale = max(1.0, float(np.max(np.abs(J))))
         # The residual jumps across the log's branch cut and where |mu_+| = |mu_-|
         # swaps the eigenvalues: no derivative to compare there.
@@ -867,8 +895,8 @@ class TestShootingJacobian:
             steps.append(len(J))
             return step(J, *args)
 
-        def recording_solve(x0, g, branch):
-            roots, converged = solve(x0, g, branch)
+        def recording_solve(x0, FK, branch):
+            roots, converged = solve(x0, FK, branch)
             distinct.append(len({(b, *np.round(x, 9).tolist())
                                  for x, b in zip(roots[converged], branch[converged].tolist())}))
             return roots, converged
