@@ -191,11 +191,22 @@ class TestGeodesic:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["--kind", "subriemannian", "--alpha", "1,0,0", "--alpha0", "1.5"],
+            ["--kind", "isotropic", "--alpha", "1,0,0", "--alpha0", "1.5"],
             ["--kind", "timelike", "--alpha", "0.3,0,0", "--normalize"],
         ],
-        ids=["normalize-timelike"],
+        ids=["alpha0-subriemannian", "alpha0-isotropic", "normalize-timelike"],
     )
     def test_option_ignored_by_kind_exit_code(self, capsys, argv):
+        if "--alpha0" in argv:
+            # a0 is derived from --alpha, so the parser refuses the flag for every kind.
+            with pytest.raises(SystemExit) as exc:
+                main(["geodesic", *argv, "--samples", "3"])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2
+            assert captured.out == ""
+            assert "error: unrecognized arguments: --alpha0 1.5" in captured.err
+            return
         code, out, err = run(capsys, "geodesic", *argv, "--samples", "3")
         assert code == 2
         assert out == "" and err.startswith("error:")
