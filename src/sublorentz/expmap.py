@@ -143,19 +143,48 @@ def _frobenius_sq(g: np.ndarray) -> float:
         return float(np.sum(np.abs(g) ** 2))
 
 
+# The admission rule of targets.  Products of g1 with itself round to about
+# eps |g1|_F^2 (Higham, Accuracy and Stability of Numerical Algorithms, SIAM
+# 2002, ch. 3); |g1|_F^2 = 2 cosh|X| >= 2 on SL(2,C).
+_EPS = float(np.finfo(float).eps)
+# det g1 may miss 1 by this many eps |g1|_F^2, its own rounding error: the
+# computed det of 1,800 float boost-rotations with |X| <= 20 (before and
+# after dividing by sqrt det) and of 2,000 geodesic endpoints with T <= 10
+# came within 2.6.  A det off by more is an input off SL(2,C), not rounding.
+_DET_ROUNDING = 8.0
+# ...but never by less than this, the tolerance of inputs written near SU(2).
+_UNIMODULAR_TOL = 1e-9
+
+
+def _require_unimodular(g1: np.ndarray, refusal: ValueError | None = None) -> float:
+    """Reject a (2, 2) g1 past double precision, or off SL(2,C) (|det g1 - 1| above
+    max(_UNIMODULAR_TOL, _DET_ROUNDING eps |g1|_F^2)) with `refusal`; return |g1|_F^2."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = g1[0, 0] * g1[1, 1] - g1[0, 1] * g1[1, 0]
+    frob = _frobenius_sq(g1)
+    if not (cmath.isfinite(d) and math.isfinite(frob)):
+        raise ValueError(f"target overflows double precision: det = {d}, |g1|_F^2 = {frob}")
+    if abs(d - 1.0) > max(_UNIMODULAR_TOL, _DET_ROUNDING * _EPS * frob):
+        raise refusal or ValueError(f"target must be unimodular, det = {d}")
+    return frob
+
+
 def det_split(g: Mat2C) -> tuple[float, np.ndarray]:
     """(xi, g1) with g = e^{xi/2} g1 and det g1 = 1, so xi = ln det g.
 
     Requires det(g) finite, real and positive and not below 1e-300 in
     magnitude; raises NotInGLPlusError otherwise.  Real means |Im det| <=
-    1e-12 max(1, |g|_F^2 / 2): a computed det rounds to about eps |g|_F^2,
-    which grows as 2 cosh|X| on a boost-rotation of length |X| (|g|_F^2 >= 2 |det|).
+    1e-12 max(1, s), s = |g|_F^2 / 2, or s = |det g| once |g|_F^2 overflows: a
+    computed det rounds to about eps |g|_F^2, which grows as 2 cosh|X| on a
+    boost-rotation of length |X| (|g|_F^2 >= 2 |det|), and g1 must then pass
+    `_require_unimodular`, the rule `distance_shoot` applies to its target.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = g.det()
     if not cmath.isfinite(d):
         raise NotInGLPlusError(f"determinant {d} overflows double precision")
-    if abs(d.imag) > 1e-12 * max(1.0, _frobenius_sq(g.m) / 2.0):
+    frob = _frobenius_sq(g.m)
+    if abs(d.imag) > 1e-12 * max(1.0, frob / 2.0 if math.isfinite(frob) else abs(d)):
         raise NotInGLPlusError(f"determinant {d} is not real")
     if d.real <= 0.0:
         raise NotInGLPlusError(f"determinant {d} is not positive")
@@ -163,7 +192,9 @@ def det_split(g: Mat2C) -> tuple[float, np.ndarray]:
         raise NotInGLPlusError("matrix is singular")
     xi = math.log(d.real)
     with np.errstate(over="ignore"):
-        return xi, math.exp(-xi / 2.0) * g.m
+        g1 = math.exp(-xi / 2.0) * g.m
+    _require_unimodular(g1, NotInGLPlusError(f"determinant {d} is not real"))
+    return xi, g1
 
 
 def _polar(g1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,26 +202,26 @@ def _polar(g1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     X is half of log(g1 g1*), whose eigenvalues e^{+-|X|} differ by the length r of its
     traceless part: |X| = asinh(r/2) is exact to rounding for every |X|, where log(lambda_max
-    / lambda_min) cancels on long boosts.  An r past double precision raises ValueError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = coords(g1 @ g1.conj().T)
+    / lambda_min) cancels on long boosts.  g1 has passed `_require_unimodular`, so
+    |g1|_F^2 and with it r are finite; where only the squares overflow (|X| past about 355),
+    `math.hypot` takes r without them."""
+    h = coords(g1 @ g1.conj().T)
+    with np.errstate(over="ignore"):
         r = math.sqrt(h[1] ** 2 + h[2] ** 2 + h[3] ** 2)
-    if not math.isfinite(r):
-        raise ValueError(f"polar boost overflows double precision: |traceless(g1 g1*)| = {r}")
+    if r == math.inf:
+        r = math.hypot(*h[1:4].tolist())
     half = np.zeros(4)
     if r > 0.0:
         half[1:] = (math.asinh(r / 2.0) / r) * h[1:4]
     return half[1:], _exp_array((-half).astype(complex), 1.0) @ g1
 
 
-def polar_decompose(g: Mat2C, unimodular: bool = False) -> PolarDecomposition:
+def polar_decompose(g: Mat2C) -> PolarDecomposition:
     """Unique factorization g = e^{xi/2} exp(X) k, X traceless Hermitian, k unitary.
 
-    Requires det(g) real and positive (see `det_split`); unimodular=True takes
-    det(g) = 1 as checked by the caller, so xi = 0 and g is not rescaled by its
-    computed det, which cancels to eps |g|^2.  X and k are `_polar`'s.
+    Requires det(g) real and positive (see `det_split`).  X and k are `_polar`'s.
     """
-    xi, g1 = (0.0, g.m) if unimodular else det_split(g)
+    xi, g1 = det_split(g)
     x, k = _polar(g1)
     return PolarDecomposition(xi, AlgCoords(np.concatenate([[0.0], x, np.zeros(4)])), Mat2C(k))
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .algebra import (
     AlgCoords, Mat2C, _frozen_array, _Rows, _stacked, coeff_entries, format_float, to_coords)
-from .expmap import ProductExpParams, _unit_alpha, aligning_rotation, det_split, sinc_scaled, sinch
+from .expmap import (_EPS, ProductExpParams, _frobenius_sq, _unit_alpha, aligning_rotation, det_split,
+                     sinc_scaled, sinch)
 from .subriemannian import _EXACT_TIE_TOL, _EXACT_WIDTH, _ZERO_LENGTH, DistanceBracket, _shoot
 
 REGIME_TIMELIKE = "timelike-normal"
@@ -150,18 +151,6 @@ def _covectors(psi, batch: bool = False) -> np.ndarray:
     if (np.abs(p).reshape(-1, 7).max(axis=1) == 0.0).any():
         raise ValueError("covector must never vanish along an extremal")
     return p
-
-
-def _adjoint_rhs(p1, p2, p3, p4, p5, p6, u1, u2, u3) -> tuple:
-    """(psi1', ..., psi6') for covector entries p1..p6 and control u1..u3; psi0' = 0."""
-    return (
-        u2 * p6 - u3 * p5,
-        -u1 * p6 + u3 * p4,
-        u1 * p5 - u2 * p4,
-        u2 * p3 - u3 * p2,
-        -u1 * p3 + u3 * p1,
-        u1 * p2 - u2 * p1,
-    )
 
 
 # -- RK4 as right multiplication (Iserles, Munthe-Kaas, Norsett & Zanna, 2000) --
@@ -491,8 +480,9 @@ class CausalReport:
     is the rapidity atanh(eta/xi) of timelike targets: xi = d cosh(c), eta =
     d sinh(c).  `eta_exact` when the bracket is finite and at most
     _EXACT_WIDTH wide; `extrapolated` when it is inexact with a lower end
-    `distance_shoot` reads as zero (unitary g1 != I), so the class leans on
-    shooting alone.  A non-boost report whose xi lies below lower - tol is
+    `distance_shoot` reads as zero (unitary g1 != I): such a rotation runs no
+    solve and carries [lower, inf), so xi < lower - tol is unreachable and any
+    other xi indeterminate.  A non-boost report whose xi lies below lower - tol is
     unreachable by the lower end alone and carries [lower, inf) with no
     witness; `distance_shoot` (and the `distance` command) still shoots it.
     """
@@ -574,6 +564,11 @@ def causal_classify(
     return CausalReport(xi, bracket, _causal_class(xi, bracket, tol))
 
 
+# A longest arc's endpoint may miss g1 by this many eps |g1|_F, rounding on entries of
+# e^{|X|/2}: on 1,152 exact boost targets (|X| <= 80) the gap came within 64.
+_ARC_ROUNDING = 256.0
+
+
 def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) -> PathSample:
     """Sample the longest arc from the identity to a reachable target.
 
@@ -584,7 +579,8 @@ def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) 
     `ProductExpParams.point_rows` and `control_rows`.  The identity's longest
     arc is the single point e: one sample whatever `samples` is, since path
     times strictly increase.  The endpoint gap is checked in the unimodular
-    frame (times e^{-xi/2}).  Unreachable or indeterminate targets raise
+    frame (times e^{-xi/2}): one above max(10 tol, _ARC_ROUNDING eps |g1|_F)
+    raises ValueError.  Unreachable or indeterminate targets raise
     UnreachableTargetError with the report attached.
     """
     if samples < 2:
@@ -608,8 +604,9 @@ def longest_arc(g: Mat2C, samples: int = 101, tol: float = 1e-7, seed: int = 0) 
     pp = ProductExpParams(np.concatenate([[ch_c], sh_c * geo]))
     path = PathSample(times, pp.point_rows(times), pp.control_rows(times))
     residual = path.points[-1].distance(g) * math.exp(-xi / 2.0)
-    if residual > 10.0 * tol:
-        raise RuntimeError(f"longest-arc endpoint residual {residual:.3e} exceeds 10*tol")
+    bound = max(10.0 * tol, _ARC_ROUNDING * _EPS * math.sqrt(_frobenius_sq(math.exp(-xi / 2.0) * g.m)))
+    if residual > bound:
+        raise ValueError(f"longest-arc endpoint residual {residual:.3e} exceeds {bound:.3e}")
     return path
 
 
@@ -670,7 +667,8 @@ def abnormal_extremal(kappa_times, kappa_values, beta_dir, regime: str, steps: i
         raise ValueError(f"unknown regime {regime!r}")
     if steps < 1:
         raise ValueError("steps must be positive")
-    b1, b2, b3 = (bs / np.linalg.norm(bs)).tolist()
+    x1, x2, x3 = bs.tolist()  # |bs| term by term: the bits of a BLAS dot move with the kernel
+    b1, b2, b3 = (bs / math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)).tolist()
     h = float(kt[-1]) / steps
 
     def u_dual(k):  # (4, N) dual controls at the kappa values k
@@ -692,20 +690,11 @@ def abnormal_extremal(kappa_times, kappa_values, beta_dir, regime: str, steps: i
             break
     u_start, u_mid, u_end = (u_dual(k[:stop]) for k in ks)
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught below
-        # u_123 is parallel to b by construction, so the drift |u_123 x b_hat| is
-        # only rounding on a product of size |u_123|: it is measured on that scale.
-        drift = np.hypot.reduce(_adjoint_rhs(0.0, 0.0, 0.0, -b1, -b2, -b3, *u_start[1:]), axis=0)
-        drift /= np.maximum(1.0, np.hypot.reduce(u_start[1:], axis=0))
         points = _rk4_points(
             lambda j0, j1: [u[:, j0:j1] for u in (u_start, u_mid, u_mid, u_end)], h, stop)
-    # Step j ends at record j + 1; the first failing step raises, divergence before drift.
-    diverged = ~np.isfinite(points[1:]).all(axis=1)
-    failed = np.flatnonzero(diverged | ~(drift <= 1e-9))  # NaN fails too
-    for j in failed[:1]:
-        if diverged[j]:
-            raise IntegrationDivergedError(float((j + 1) * h))
-        raise RuntimeError(
-            f"abnormal covector is not stationary: drift {drift[j]:.3e} max(1, |u_123|)")
+    diverged = np.flatnonzero(~np.isfinite(points[1:]).all(axis=1))  # step j ends at record j + 1
+    if len(diverged):
+        raise IntegrationDivergedError(float((diverged[0] + 1) * h))
     if stop < steps:
         u_dual(ks[:, stop])  # raises the step's OverflowError
     controls = np.column_stack([u_start[:, 0], u_end]).T

@@ -17,24 +17,21 @@ solution above.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .algebra import AlgCoords, Mat2C, _frozen_array, coeff_entries, from_coords
-from .expmap import (SMALL_W, ProductExpParams, _curve_coefficients, _curve_w, _frobenius_sq,
-                     _polar, _unit_alpha, exp_series)
+from .expmap import (_EPS, SMALL_W, ProductExpParams, _curve_coefficients, _curve_w, _polar,
+                     _require_unimodular, _unit_alpha, exp_series)
 
 _I2 = np.eye(2, dtype=complex)
 
 # The decision thresholds of `distance_shoot` and of the causal class read
-# off its bracket (`sublorentzian`), each named once.  The two
-# scaled tests compare products of g1 with itself, whose rounding error is
-# about eps |g1|_F^2 (Higham, Accuracy and Stability of Numerical
-# Algorithms, SIAM 2002, ch. 3); |g1|_F^2 = 2 cosh|X| >= 2 on SL(2,C).
-_EPS = float(np.finfo(float).eps)
+# off its bracket (`sublorentzian`), each named once; the admission rule of
+# targets is `expmap._require_unimodular`.  The boost test compares products of g1
+# with itself, whose rounding error is about eps |g1|_F^2 (see `expmap._EPS`).
 # g1 is the identity when every entry is this close: far above the rounding
 # of a product that should be I, far below any other target's distance.
 _IDENTITY_TOL = 1e-12
@@ -45,13 +42,6 @@ _ZERO_LENGTH = 1e-12
 # I: 48,000 float boosts with |X| <= 22 came within 1.9, and the benchmark
 # corpus's other targets sit at least 6.9e12 away.
 _BOOST_ROUNDING = 4.0
-# det g1 may miss 1 by this many eps |g1|_F^2, its own rounding error: the
-# computed det of 1,800 float boost-rotations with |X| <= 20 (before and
-# after dividing by sqrt det) and of 2,000 geodesic endpoints with T <= 10
-# came within 2.6.  A det off by more is an input off SL(2,C), not rounding.
-_DET_ROUNDING = 8.0
-# ...but never by less than this, the tolerance of inputs written near SU(2).
-_UNIMODULAR_TOL = 1e-9
 # The polish runs only above this |X|: rotations (|X| <= 1e-15) can get no
 # certified witness, and nine decades above them is still far below any
 # boost-rotation of interest.
@@ -144,18 +134,6 @@ def boost_distance(x: AlgCoords) -> float:
     if not x.in_H0(1e-10):
         raise ValueError("boost_distance requires coordinates in H0")
     return float(np.linalg.norm(x.u[1:4]))
-
-
-def _require_unimodular(g1: np.ndarray) -> float:
-    """Reject a (2, 2) g1 off SL(2,C) or past double precision; return |g1|_F^2."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = g1[0, 0] * g1[1, 1] - g1[0, 1] * g1[1, 0]
-    frob = _frobenius_sq(g1)
-    if not (cmath.isfinite(d) and math.isfinite(frob)):
-        raise ValueError(f"target overflows double precision: det = {d}, |g1|_F^2 = {frob}")
-    if abs(d - 1.0) > max(_UNIMODULAR_TOL, _DET_ROUNDING * _EPS * frob):
-        raise ValueError(f"target must be unimodular, det = {d}")
-    return frob
 
 
 def distance_lower_bound(g1: Mat2C) -> float:

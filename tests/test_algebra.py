@@ -181,6 +181,10 @@ class TestVectorClass:
     def test_zero_is_spacelike(self):
         assert vector_class(AlgCoords.zero()).kind == "spacelike"
 
+    def test_rejects_vectors_off_H(self):
+        with pytest.raises(ValueError, match="requires an argument in H"):
+            vector_class(AlgCoords.basis(4))
+
 
 def test_clifford_anticommutation_exact():
     report = clifford_check()

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, round-trips, determinism."""
 
+import cmath
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import argparse
 import numpy as np
 import pytest
 
-from sublorentz import Mat2C, PathSample
+from sublorentz import Mat2C, PathSample, sublorentzian
 from sublorentz.cli import build_parser, main
 
 
@@ -61,7 +62,6 @@ def _matrix(a00, a01, a10, a11) -> str:
 
 
 _TARGET_OVERFLOWS = "target overflows double precision: det = {}, |g1|_F^2 = inf"
-_BOOST_OVERFLOWS = "polar boost overflows double precision: |traceless(g1 g1*)| = inf"
 # Inputs that overflow double precision, with the one error line each gives.
 _OVERFLOWING = [
     *[([cmd, "--matrix", _matrix(1e200, 0, 0, 1e-200)], _TARGET_OVERFLOWS.format("(1+0j)"))
@@ -73,8 +73,6 @@ _OVERFLOWING = [
     (["classify", "--matrix", _matrix(1e300, 0, 0, 1e300)],
      "determinant (inf+0j) overflows double precision"),
     (["distance", "--matrix", _matrix(1e154, 0, 0, 1e154)], _TARGET_OVERFLOWS.format("(1e+308+0j)")),
-    *[([cmd, "--matrix", _matrix(1e100, 0, 0, 1e-100)], _BOOST_OVERFLOWS)
-      for cmd in ("classify", "distance", "longest-arc")],  # |X| = 230: r^2 overflows
     (["exp", "--coeffs", "0,1e200,0,0"], "matrix entries must be finite"),
     (["geodesic", "--kind", "subriemannian", "--alpha", "1e200,0,0"],
      "alpha_vec must be a unit vector: |alpha|^2 - 1 = inf exceeds 1e-12"),
@@ -187,6 +185,19 @@ class TestGeodesic:
             warnings.simplefilter("error")
             for argv, message in _OVERFLOWING:
                 assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+            # Boosts with |X| = 200 ln 10 = 460.5: the squares in |traceless(g1 g1*)|
+            # overflow, |g1|_F^2 = 1e200 does not, so the bracket is the exact boost one.
+            length = 200.0 * math.log(10.0)
+            for a, b in [(1e100, 1e-100), (1e-100, 1e100)]:
+                code, out, err = run(capsys, "distance", "--matrix", _matrix(a, 0, 0, b))
+                eta = parse_payload(out)["result"]
+                assert (code, err, eta["lower"]) == (0, "", eta["upper"])
+                assert abs(eta["upper"] - length) <= 1e-15 * length
+                for xi, cls in [(0.0, "unreachable"), (500.0, "timelike")]:
+                    s = math.exp(xi / 2.0)
+                    code, out, err = run(capsys, "classify", "--matrix", _matrix(s * a, 0, 0, s * b))
+                    result = parse_payload(out)["result"]
+                    assert (code, err, result["eta"], result["class"]) == (0, "", eta, cls)
 
     @pytest.mark.parametrize(
         "argv",
@@ -245,7 +256,20 @@ class TestClassify:
             capsys, "classify", "--matrix", json.dumps(g.to_json()), "--seed", "5"
         )
         assert code == 3
-        assert parse_payload(out)["result"]["class"] == "indeterminate"
+        result = parse_payload(out)["result"]
+        assert result["class"] == "indeterminate"
+        # longest-arc refuses it with the same exit code and the report on stderr
+        code, out, err = run(capsys, "longest-arc", "--matrix", json.dumps(g.to_json()), "--seed", "5")
+        assert (code, out) == (3, "")
+        assert parse_payload(err)["result"] == result
+
+    def test_matrix_from_stdin(self, capsys, monkeypatch):
+        g = json.dumps(Mat2C(math.e * np.eye(2)).to_json())
+        _, inline, _ = run(capsys, "classify", "--matrix", g)
+        monkeypatch.setattr("sys.stdin", io.StringIO(g))
+        code, out, err = run(capsys, "classify", "--matrix", "-")
+        assert (code, err) == (0, "")
+        assert parse_payload(out)["result"] == parse_payload(inline)["result"]
 
     def test_lower_decided_report(self, capsys):
         # xi = 0 is below the projection bound |X| = 0.9 of this boost-rotation:
@@ -269,6 +293,23 @@ class TestClassify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([1e154, 1e154 * cmath.exp(1j * math.pi / 4.0)]),  # |g|_F^2 overflows
+            np.diag([1e4, 1e4 * cmath.exp(1j * math.pi / 4.0)]),  # the same matrix over 1e150
+            # det g rounds to within 1e-12 |g|_F^2 / 2 of the reals; g1 misses SL(2,C)
+            np.array([[math.cosh(5.0), math.sinh(5.0)], [math.sinh(5.0), math.cosh(5.0)]])
+            @ np.diag([1.0, cmath.exp(1e-9j)]),
+        ],
+        ids=["overflowing-frobenius", "scaled-down", "slightly-complex-det"],
+    )
+    @pytest.mark.parametrize("command", ["classify", "longest-arc"])
+    def test_complex_determinant_is_reported_as_such(self, capsys, command, m):
+        code, out, err = run(capsys, command, "--matrix", json.dumps(Mat2C(m).to_json()))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: determinant (") and err.endswith(") is not real\n"), err
+
     def test_non_unimodular_distance_exit_code(self, capsys):
         # det = 1.21 on a boost of length 20, where det itself rounds to about 1e-7.
         from sublorentz import ComplexAlgVec, exp_closed
@@ -285,13 +326,15 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "matrix",
-        ['{"m": [[1,2],[3,4]]}', '{"m": [[[1,0]]]}', '{"m": "x"}'],
-        ids=["real-2x2", "short", "string"],
+        ['{"m": [[1,2],[3,4]]}', '{"m": [[[1,0]]]}', '{"m": "x"}', '{"matrix": {"n": 1}}', '[1, 2]'],
+        ids=["real-2x2", "short", "string", "no-m-field", "list"],
     )
     def test_malformed_matrix_exit_code(self, capsys, matrix):
         code, out, err = run(capsys, "classify", "--matrix", matrix)
         assert code == 2
         assert out == "" and err.startswith("error:")
+        if "m" not in json.loads(matrix):
+            assert err == 'error: matrix JSON must contain an "m" field\n'
 
     def test_determinism(self, capsys):
         g = Mat2C(math.e * np.eye(2)).to_json()
@@ -343,23 +386,38 @@ class TestLongestArc:
         path = PathSample.from_csv(io.StringIO(out))
         assert path.points[-1].distance(g) < 1e-9
 
-    @pytest.mark.parametrize("kind", ["boost", "geodesic"])
+    @pytest.mark.parametrize("kind", ["boost", "geodesic", "long-boost-44", "long-boost-50"])
     def test_large_determinant_exit_code(self, capsys, kind):
-        # det g = e^60: the endpoint check is scale-free, so exit 0, not a traceback
+        # det g = e^60: the endpoint check is scale-free, so exit 0, not a traceback.  The
+        # long boosts diag(e^{|X|/2}, e^{-|X|/2}) with det g = e^{2.5 |X|} are exact timelike
+        # targets whose endpoint gap, about 32 eps |g1|_F, exceeds 10 tol: only rounding.
         from sublorentz import SRGeodesicParams, sr_geodesic
 
+        xi, bound = 60.0, 1e-12
         if kind == "boost":
             g1 = np.array([[math.cosh(0.5), math.sinh(0.5)], [math.sinh(0.5), math.cosh(0.5)]])
-        else:
+        elif kind == "geodesic":
             p = SRGeodesicParams(np.array([0.6, 0.8, 0.0]), np.array([0.3, -0.5, 1.1]))
             g1 = sr_geodesic(p, 1.3).m
-        g = Mat2C(math.exp(30.0) * g1)
+        else:
+            length = float(kind.rsplit("-", 1)[1])
+            g1 = np.diag([math.exp(length / 2.0), math.exp(-length / 2.0)])
+            xi, bound = 2.5 * length, 64.0 * np.finfo(float).eps * math.exp(length / 2.0)
+        g = Mat2C(math.exp(xi / 2.0) * g1)
         code, out, err = run(capsys, "longest-arc", "--matrix", json.dumps(g.to_json()),
                              "--samples", "11")
         assert code == 0 and err == ""
         path = PathSample.from_csv(io.StringIO(out))
         assert len(path.times) == 11
-        assert path.points[-1].distance(g) * math.exp(-30.0) < 1e-12
+        assert path.points[-1].distance(g) * math.exp(-xi / 2.0) < bound
+
+    def test_endpoint_gap_past_rounding_exit_code(self, capsys, monkeypatch):
+        # With no rounding allowance, the |X| = 50 boost's gap of 5e-4 is refused: one line.
+        monkeypatch.setattr(sublorentzian, "_ARC_ROUNDING", 0.0)
+        g = Mat2C(math.exp(62.5) * np.diag([math.exp(25.0), math.exp(-25.0)]))
+        code, out, err = run(capsys, "longest-arc", "--matrix", json.dumps(g.to_json()))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: longest-arc endpoint residual") and err.count("\n") == 1, err
 
     def test_identity_is_one_point(self, capsys):
         # the longest arc from e to e is the point e, whatever --samples says
@@ -426,12 +484,13 @@ class TestExtremal:
             ["extremal", "pontryagin", "--regime", "timelike"],
             ["extremal", "pontryagin", "--regime", "timelike", "--psi0", "1,0,0,0,0,0,0",
              "--step", "0"],
+            ["extremal", "pontryagin", "--regime", "timelike", "--psi0", "1,0,0,0,0,0"],
             ["extremal", "abnormal", "--regime", "timelike", "--steps", "0"],
             ["geodesic", "--kind", "subriemannian", "--alpha", "1,0,0", "--samples", "-1"],
             ["longest-arc", "--matrix", json.dumps(Mat2C(math.e * np.eye(2)).to_json()),
              "--samples", "1"],
         ],
-        ids=["no-psi0", "zero-step", "zero-steps", "negative-samples", "one-sample-arc"],
+        ids=["no-psi0", "zero-step", "six-psi0", "zero-steps", "negative-samples", "one-sample-arc"],
     )
     def test_missing_or_zero_size_exit_code(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -600,6 +659,13 @@ class TestPlotScript:
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
+    def test_comment_only_csv_exit_code(self, capsys, tmp_path):
+        csv_file = tmp_path / "empty.csv"
+        csv_file.write_text("# config = {}\n# nothing else\n")
+        code, out, err = run(capsys, "plot-script", "--csv", str(csv_file), "--y", "g11_re")
+        assert (code, out, err) == (2, "", "error: CSV file has no header row\n")
+
+
 class TestRoundTrips:
     def test_exp_output_feeds_classify(self, capsys, tmp_path):
         out_file = tmp_path / "exp.json"
@@ -610,6 +676,10 @@ class TestRoundTrips:
         code, out, _ = run(capsys, "classify", "--matrix", f"@{mat_file}")
         assert code == 0
         assert parse_payload(out)["result"]["class"] == "timelike"
+        # the whole exp payload reads as its matrix, through "result" and "matrix"
+        code, whole, _ = run(capsys, "classify", "--matrix", f"@{out_file}")
+        assert code == 0
+        assert parse_payload(whole)["result"] == parse_payload(out)["result"]
 
     def test_csv_reread_matches(self, capsys, tmp_path):
         out_file = tmp_path / "p.csv"

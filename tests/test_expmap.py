@@ -12,6 +12,9 @@ from sublorentz import (
     NotInGLPlusError,
     ProductExpParams,
     basis_matrix,
+    causal_classify,
+    causal_relation,
+    distance_lower_bound,
     exp_closed,
     exp_series,
     from_coords,
@@ -19,7 +22,8 @@ from sublorentz import (
     su2_exp,
     to_coords,
 )
-from sublorentz.expmap import SMALL_W, aligning_rotation, axis_angle_rotation, sinc_scaled, sinch
+from sublorentz.expmap import (SMALL_W, aligning_rotation, axis_angle_rotation, det_split, sinc_scaled,
+                               sinch)
 
 
 def vec(*reals):
@@ -185,6 +189,45 @@ class TestPolar:
         near = Mat2C(su2_exp([0.3, 1.1, -0.6]).m * cmath.sqrt(1.0 + 1e-6j))
         with pytest.raises(NotInGLPlusError, match="not real"):
             polar_decompose(near)
+
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_long_boost_overflowing_only_the_squares(self, sign):
+        # |X| = 200 ln 10 = 460.5: the squares of g1 g1*'s traceless part overflow,
+        # |g1|_F^2 = 1e200 does not, and the boost is read exactly.
+        length = 200.0 * math.log(10.0)
+        g1 = Mat2C(np.diag([10.0 ** (100 * sign), 10.0 ** (-100 * sign)]))
+        pd = polar_decompose(g1)
+        assert pd.xi == 0.0
+        assert abs(pd.boost.u[3] - sign * length) <= 1e-15 * length
+        assert np.count_nonzero(pd.boost.u) == 1
+        assert distance_lower_bound(g1) == abs(pd.boost.u[3])
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # det rounds to within 1e-12 |g|_F^2 / 2 of the reals, but g1 misses SL(2,C)
+            np.array([[math.cosh(5.0), math.sinh(5.0)], [math.sinh(5.0), math.cosh(5.0)]])
+            @ np.diag([1.0, cmath.exp(1e-9j)]),
+            # |g|_F^2 overflows, so Im det is judged against |det g|
+            np.diag([1e154, 1e154 * cmath.exp(1j * math.pi / 4.0)]),
+        ],
+        ids=["slightly-complex-det", "overflowing-frobenius"],
+    )
+    def test_det_split_applies_the_unimodular_rule(self, m):
+        # polar_decompose and causal_relation refuse what causal_classify refuses, and
+        # with the same message.
+        g = Mat2C(m)
+        for call in (polar_decompose, causal_classify, lambda g: causal_relation(Mat2C.identity(), g)):
+            with pytest.raises(NotInGLPlusError, match=r"^determinant .* is not real$"):
+                call(g)
+
+    def test_singular_input(self):
+        g = Mat2C(np.diag([1e-151, 1e-151]))  # det = 1e-302 > 0, below 1e-300
+        with pytest.raises(NotInGLPlusError, match="matrix is singular"):
+            det_split(g)
+        with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+            g.inverse()
 
 
 class TestRotationHelpers:

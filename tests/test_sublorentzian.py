@@ -42,7 +42,7 @@ from sublorentz import (
 )
 from sublorentz import sublorentzian
 from sublorentz.sublorentzian import (
-    ExtremalParams, IntegrationDivergedError, _adjoint_rhs, _precession, _rk4_factors)
+    ExtremalParams, IntegrationDivergedError, _precession, _rk4_factors)
 
 
 def boost_target(xi, eta, direction=(1.0, 0.0, 0.0)):
@@ -127,6 +127,11 @@ class TestNormalExtremal:
             worst = max(worst, got.distance(normal_extremal(p, t)))
         assert worst < 1e-12
 
+    @pytest.mark.parametrize("alpha1", [0.0, -0.5])
+    def test_reduced_requires_positive_alpha1(self, alpha1):
+        with pytest.raises(ValueError, match="requires alpha1 > 0"):
+            normal_extremal_reduced(alpha1, [0, 0, 0], math.sqrt(1.0 + alpha1 * alpha1), 1.0)
+
     def test_reduced_collinear_is_subgroup(self):
         got = normal_extremal_reduced(1.0, [0, 0, 0], math.sqrt(2.0), 1.2)
         want = exp_closed(ComplexAlgVec.from_reals([math.sqrt(2.0), 1, 0, 0]), 1.2)
@@ -205,6 +210,21 @@ class TestPontryagin:
         with pytest.raises(ValueError, match="T must be|record_every must be"):
             pontryagin_integrate(psi0, REGIME_TIMELIKE, T, steps, record_every=record_every)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"psi0": [math.sqrt(2.0), -1.0, 0, 0, 0, 0]}, "psi0 must have 7 coordinates"),
+            ({"regime": "euclidean"}, "unknown regime 'euclidean'"),
+            ({"steps": 0}, "steps must be positive"),
+        ],
+        ids=["six-entry-psi0", "unknown-regime", "zero-steps"],
+    )
+    def test_rejects_malformed_arguments(self, change, message):
+        args = {"psi0": [math.sqrt(2.0), -1.0, 0, 0, 0, 0, 0], "regime": REGIME_TIMELIKE,
+                "T": 1.0, "steps": 10, **change}
+        with pytest.raises(ValueError, match=message):
+            pontryagin_integrate(np.array(args.pop("psi0")), **args)
+
 
 def _hex(values):
     return [float(x).hex() for x in values]
@@ -234,8 +254,11 @@ _GOLDEN_RUNS = _golden_runs()
 
 # The integrators build their RK4 step factors entry by entry on real arrays,
 # multiply the factors between two records pairwise on those arrays and the
-# products onto g on Python scalars, so their bits depend neither on BLAS nor on
-# numpy's SIMD dispatch (see test_integrator_bits_do_not_depend_on_simd_dispatch).
+# products onto g on Python scalars, and `abnormal_extremal` sums |b|^2 term by
+# term, so their bits depend neither on BLAS nor on numpy's SIMD dispatch (see
+# test_integrator_bits_do_not_depend_on_simd_dispatch).  A BLAS dot still
+# decides `pontryagin_integrate`'s regime check, and gives the a0 of
+# `ExtremalParams.timelike`, which builds the timelike input here.
 _GOLDEN = {
     "timelike": (
         ["0x1.64fccc869a320p+2", "0x1.52d94bbcdb7f6p-2", "0x1.006c3d793c1f8p-2", "-0x1.45d0d7240e034p+1",
@@ -519,6 +542,15 @@ def _dispatched_cpu_features():
     return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
 
 
+# (1.0988127684144084, -1.284580778805345, -0.6616129303555477) is a direction
+# whose np.linalg.norm (a BLAS dot) differs by an ulp between OpenBLAS kernels.
+_DISPATCH_RUNS = {
+    **_GOLDEN_RUNS,
+    "abnormal-blas-norm": lambda: abnormal_extremal(
+        [0.0, 1.0], [0.3, 0.8], (1.0988127684144084, -1.284580778805345, -0.6616129303555477),
+        REGIME_TIMELIKE, 50),
+}
+
 _SIMD_CHILD = """
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -526,23 +558,27 @@ import test_sublorentzian as t
 print(json.dumps({
     "enabled": t._dispatched_cpu_features(),
     "paths": {name: hashlib.sha256(b"".join(t._path_bytes(run()))).hexdigest()
-              for name, run in t._GOLDEN_RUNS.items()},
+              for name, run in t._DISPATCH_RUNS.items()},
 }))
 """
 
 
 def test_integrator_bits_do_not_depend_on_simd_dispatch(fresh_python):
     # numpy picks SIMD loops at run time, and some (complex multiply, for one)
-    # fuse multiply-adds.  With every dispatched feature this host has switched
-    # off, the integrators must still write the same bytes.
+    # fuse multiply-adds; OpenBLAS picks its kernels at load time.  With every
+    # dispatched feature this host has switched off, or with OpenBLAS held to
+    # its Prescott kernels, the integrators must still write the same bytes.
+    # Either variable acts on the child interpreter only.
+    want = {name: hashlib.sha256(b"".join(_path_bytes(run()))).hexdigest()
+            for name, run in _DISPATCH_RUNS.items()}
     found = _dispatched_cpu_features()
-    out = fresh_python("-c", _SIMD_CHILD, str(Path(__file__).parent),
-                       env={"NPY_DISABLE_CPU_FEATURES": " ".join(found)})
-    assert out.returncode == 0, out.stderr
-    child = json.loads(out.stdout)
-    assert child["enabled"] == []
-    assert child["paths"] == {name: hashlib.sha256(b"".join(_path_bytes(run()))).hexdigest()
-                              for name, run in _GOLDEN_RUNS.items()}
+    for env in ({"NPY_DISABLE_CPU_FEATURES": " ".join(found)}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        out = fresh_python("-c", _SIMD_CHILD, str(Path(__file__).parent), env=env)
+        assert out.returncode == 0, out.stderr
+        child = json.loads(out.stdout)
+        if "NPY_DISABLE_CPU_FEATURES" in env:
+            assert child["enabled"] == []
+        assert child["paths"] == want, env
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -585,29 +621,6 @@ def test_math_overflow_is_raised_at_its_step():
     # kappa stays 0 for two steps, then the third step's end reaches 1000.
     with pytest.raises(OverflowError):
         abnormal_extremal([0.0, 1.0, 2.0], [0.0, 0.0, 2000.0], (0.3, -0.5, 1), REGIME_TIMELIKE, 4)
-
-
-@pytest.mark.parametrize(
-    "args, threshold, error, match",
-    [
-        # the drift fails from the first step, and no step diverges
-        (([0.0, 1.0], [0.2, 0.9], (0.5, -1.0, 2.0), REGIME_TIMELIKE, 100), 0.0,
-         RuntimeError, "not stationary"),
-        # the drift fails once |u_1| > 1e3 (t near 0.25), before the divergence at t = 0.55
-        (([0.0, 1.0, 2.0], [0.0, 30.0, 0.0], (1, 0, 0), REGIME_TIMELIKE, 200), 1e3,
-         RuntimeError, "not stationary"),
-        # both fail at the first step: divergence wins
-        (([0.0, 1e308], [0.0, 1.0], (0, 0, 1), REGIME_TIMELIKE, 1000), 0.0,
-         IntegrationDivergedError, "diverged at t = 1e[+]305"),
-    ],
-    ids=["drift-only", "drift-first", "same-step"],
-)
-def test_drift_and_divergence_precedence(monkeypatch, args, threshold, error, match):
-    rhs = _adjoint_rhs
-    monkeypatch.setattr(sublorentzian, "_adjoint_rhs", lambda *a: tuple(
-        v + (np.abs(a[6]) >= threshold) for v in rhs(*a)))
-    with pytest.raises(error, match=match):
-        abnormal_extremal(*args)
 
 
 def _shooting_targets():
@@ -973,7 +986,6 @@ class TestAbnormal:
             # psi' = (0, u x psi_456, u x psi_123) for a control with H0 part u
             assert np.max(np.abs(np.cross(u, psi[4:]))) < 1e-10
             assert np.max(np.abs(np.cross(u, psi[1:4]))) < 1e-10
-            assert np.max(np.abs(_adjoint_rhs(*psi[1:], *u))) < 1e-10
 
     def test_isotropic_zero_crossing_rejected(self):
         with pytest.raises(ValueError):
@@ -1023,6 +1035,19 @@ class TestAbnormal:
         with pytest.raises(ValueError, match=message):
             abnormal_extremal(kappa_t, kappa_v, beta_dir, REGIME_TIMELIKE, 10)
 
+    @pytest.mark.parametrize(
+        "kappa_t, kappa_v, regime, message",
+        [
+            ([0.0], [0.5], REGIME_TIMELIKE, "kappa must be sampled at two or more nodes"),
+            ([0.5, 1.0], [0.5, 0.5], REGIME_TIMELIKE, "kappa nodes must start at 0 and increase"),
+            ([0.0, 1.0], [0.5, 0.5], "euclidean", "unknown regime 'euclidean'"),
+        ],
+        ids=["one-node", "late-start", "unknown-regime"],
+    )
+    def test_malformed_gauge_rejected(self, kappa_t, kappa_v, regime, message):
+        with pytest.raises(ValueError, match=message):
+            abnormal_extremal(kappa_t, kappa_v, (0, 0, 1), regime, 10)
+
 
 class TestNonstrictCheck:
     def test_timelike_subgroup(self):
@@ -1068,6 +1093,26 @@ class TestNonstrictCheck:
         ok, cert = nonstrict_abnormal_check(bare)
         assert ok
         assert abs(cert.control.u[0] - math.sqrt(2.0)) < 1e-3
+
+    @pytest.mark.parametrize(
+        "control",
+        [
+            [math.sqrt(2.0), 1.0, 0, 0, 0.5, 0, 0, 0],  # off H
+            [-math.sqrt(2.0), 1.0, 0, 0, 0, 0, 0, 0],  # past directed
+            [1e-12, 0, 0, 0, 0, 0, 0, 0],  # isotropic to tol, with a_vec = 0
+            [2.0, 0, 0, 0, 0, 0, 0, 0],  # a0^2 - |a_vec|^2 = 4: neither normalization
+        ],
+        ids=["off-H", "past-directed", "zero-a-vec", "unnormalized"],
+    )
+    def test_constant_control_rejected(self, control):
+        ts = np.linspace(0, 1, 3)
+        path = PathSample(ts, np.broadcast_to(np.eye(2), (3, 2, 2)), np.tile(control, (3, 1)))
+        assert nonstrict_abnormal_check(path) == (False, None)
+
+    def test_points_only_needs_three_samples(self):
+        path = PathSample(np.array([0.0, 1.0]), (Mat2C.identity(), Mat2C(math.e * np.eye(2))))
+        with pytest.raises(ValueError, match="need at least 3 samples"):
+            nonstrict_abnormal_check(path)
 
     def test_requires_identity_start(self):
         ts = np.linspace(0, 1, 11)
@@ -1129,6 +1174,15 @@ class TestPathSampleSerialization:
         pts = (Mat2C.identity(), Mat2C.identity())
         with pytest.raises(ValueError):
             PathSample(np.array([0.0, 0.0]), pts)
+
+    @pytest.mark.parametrize("name", ["controls", "covectors"])
+    def test_row_counts_must_match_times(self, name):
+        path = extremal_path(ExtremalParams.timelike([0.4, -0.2, 0.6], [0.5, 0.1, -0.7]),
+                             np.linspace(0, 1, 5))
+        rows = {"controls": path.controls.array, "covectors": path.covectors.array}
+        rows[name] = rows[name][:-1]
+        with pytest.raises(ValueError, match=f"{name} length mismatch"):
+            PathSample(path.times, path.points.array, **rows)
 
     def test_covector_never_zero(self):
         with pytest.raises(ValueError):
