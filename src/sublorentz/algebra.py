@@ -376,16 +376,9 @@ def vector_class(u: AlgCoords, tol: float = DEFAULT_TOL) -> VectorClass:
     if not u.in_H(tol):
         raise ValueError("vector_class requires an argument in H")
     q = herm_form(u, tol)
-    norm = float(np.max(np.abs(u.u[:4])))
-    if norm <= tol:
+    if float(np.max(np.abs(u.u[:4]))) <= tol or q < -tol:
         return VectorClass("spacelike", None)
-    if q > tol:
-        kind = "timelike"
-    elif q < -tol:
-        return VectorClass("spacelike", None)
-    else:
-        kind = "isotropic"
-    return VectorClass(kind, "future" if u.u[0] > 0 else "past")
+    return VectorClass("timelike" if q > tol else "isotropic", "future" if u.u[0] > 0 else "past")
 
 
 @dataclass(frozen=True)

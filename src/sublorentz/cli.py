@@ -66,8 +66,8 @@ def render_json(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    if isinstance(obj, (float, np.floating)):  # inf and nan quoted, as the bracket's "inf"
+        return format_float(obj) if math.isfinite(obj) else json.dumps(format_float(obj))
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -137,9 +137,12 @@ def cmd_exp(args, cfg: dict) -> int:
     coeffs = [parse_complex(tok) for tok in args.coeffs.split(",")]
     if len(coeffs) != 4:
         raise ValueError("exp expects 4 coefficients z0,z1,z2,z3")
+    if not math.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
     vec = ComplexAlgVec(np.array(coeffs, dtype=complex))
     closed = exp_closed(vec, args.t)
-    series = exp_series(Mat2C(args.t * vec.matrix().m))
+    with np.errstate(over="ignore", invalid="ignore"):  # Mat2C refuses an overflowing t A
+        series = exp_series(Mat2C(args.t * vec.matrix().m))
     residual = float(np.max(np.abs(closed.m - series.m)))
     result = {"matrix": closed.to_json(), "series_residual": residual}
     _emit(_json_payload(cfg, result), args.out)
@@ -149,6 +152,8 @@ def cmd_exp(args, cfg: dict) -> int:
 def cmd_geodesic(args, cfg: dict) -> int:
     if args.normalize and args.kind == "timelike":
         raise ValueError("--normalize does not apply to --kind timelike (a0 is derived)")
+    if not math.isfinite(args.t_max):
+        raise ValueError(f"--t-max must be finite, got {args.t_max}")
     av = _parse_floats(args.alpha, 3)
     bv = _parse_floats(args.beta, 3)
     ts = np.linspace(0.0, args.t_max, args.samples)
@@ -241,18 +246,9 @@ def cmd_hermitian_check(args, cfg: dict) -> int:
 
 def cmd_validate(args, cfg: dict) -> int:
     results = validation.run_all(only=args.only)
-    payload = []
+    payload = [{"number": r.number, "name": r.name, "passed": r.passed, "runtime_limit_s": r.runtime_limit,
+                "details": r.details, "failures": r.failures} for r in results]
     for r in results:
-        payload.append(
-            {
-                "number": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "runtime_limit_s": r.runtime_limit,
-                "details": r.details,
-                "failures": r.failures,
-            }
-        )
         sys.stderr.write(
             f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.number} {r.name} "
             f"({r.elapsed:.2f}s)\n"

@@ -80,9 +80,9 @@ def _exp_array(z: np.ndarray, t: float) -> np.ndarray:
     w = _half_root(z)
     m1 = cmath.cosh(w * t)
     n1 = sinch(w, t)
-    scale = cmath.exp(z[0] * t / 2.0)
     traceless = np.reshape(coeff_entries(0j, *z[1:].tolist(), 0j, 0j, 0j, 0j), (2, 2))
-    return scale * (m1 * np.eye(2, dtype=complex) + n1 * traceless)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan entries, which Mat2C refuses
+        return cmath.exp(z[0] * t / 2.0) * (m1 * np.eye(2, dtype=complex) + n1 * traceless)
 
 
 def exp_closed(a: ComplexAlgVec, t: float) -> Mat2C:
@@ -129,10 +129,12 @@ class PolarDecomposition:
 
 def _unit_alpha(av: np.ndarray, zero: str) -> np.ndarray:
     """av / |av| for the `normalize` options: ValueError(zero) at av = 0, and one, not
-    numpy's warning, when finite entries overflow |av|."""
+    numpy's warning, when av is not finite or overflows |av|."""
+    if not np.isfinite(av).all():
+        raise ValueError("alpha_vec entries must be finite")
     with np.errstate(over="ignore"):
         n = np.linalg.norm(av)
-    if n == 0.0 or (n == math.inf and np.isfinite(av).all()):
+    if n == 0.0 or n == math.inf:
         raise ValueError(zero if n == 0.0 else "|alpha_vec| overflows double precision")
     return av / n
 
@@ -143,22 +145,21 @@ def _frobenius_sq(g: np.ndarray) -> float:
         return float(np.sum(np.abs(g) ** 2))
 
 
-# The admission rule of targets.  Products of g1 with itself round to about
-# eps |g1|_F^2 (Higham, Accuracy and Stability of Numerical Algorithms, SIAM
-# 2002, ch. 3); |g1|_F^2 = 2 cosh|X| >= 2 on SL(2,C).
+# The admission rule of targets.
 _EPS = float(np.finfo(float).eps)
-# det g1 may miss 1 by this many eps |g1|_F^2, its own rounding error: the
+# det g1 may miss 1 by this many eps |g1|_F^2, about its own rounding error: the
 # computed det of 1,800 float boost-rotations with |X| <= 20 (before and
 # after dividing by sqrt det) and of 2,000 geodesic endpoints with T <= 10
-# came within 2.6.  A det off by more is an input off SL(2,C), not rounding.
+# came within 2.6.  A det off by more is an input off SL(2,C), not rounding;
+# `det_split` refuses a |det g| below this many eps (|g11 g22| + |g12 g21|).
 _DET_ROUNDING = 8.0
 # ...but never by less than this, the tolerance of inputs written near SU(2).
 _UNIMODULAR_TOL = 1e-9
 
 
-def _require_unimodular(g1: np.ndarray, refusal: ValueError | None = None) -> float:
+def _require_unimodular(g1: np.ndarray, refusal: ValueError | None = None) -> None:
     """Reject a (2, 2) g1 past double precision, or off SL(2,C) (|det g1 - 1| above
-    max(_UNIMODULAR_TOL, _DET_ROUNDING eps |g1|_F^2)) with `refusal`; return |g1|_F^2."""
+    max(_UNIMODULAR_TOL, _DET_ROUNDING eps |g1|_F^2)) with `refusal`."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = g1[0, 0] * g1[1, 1] - g1[0, 1] * g1[1, 0]
     frob = _frobenius_sq(g1)
@@ -166,23 +167,27 @@ def _require_unimodular(g1: np.ndarray, refusal: ValueError | None = None) -> fl
         raise ValueError(f"target overflows double precision: det = {d}, |g1|_F^2 = {frob}")
     if abs(d - 1.0) > max(_UNIMODULAR_TOL, _DET_ROUNDING * _EPS * frob):
         raise refusal or ValueError(f"target must be unimodular, det = {d}")
-    return frob
 
 
 def det_split(g: Mat2C) -> tuple[float, np.ndarray]:
     """(xi, g1) with g = e^{xi/2} g1 and det g1 = 1, so xi = ln det g.
 
     Requires det(g) finite, real and positive and not below 1e-300 in
-    magnitude; raises NotInGLPlusError otherwise.  Real means |Im det| <=
-    1e-12 max(1, s), s = |g|_F^2 / 2, or s = |det g| once |g|_F^2 overflows: a
-    computed det rounds to about eps |g|_F^2, which grows as 2 cosh|X| on a
-    boost-rotation of length |X| (|g|_F^2 >= 2 |det|), and g1 must then pass
+    magnitude; raises NotInGLPlusError otherwise.  The computed det g11 g22 - g12 g21
+    rounds to about eps (|g11 g22| + |g12 g21|), up to eps cosh|X| |det g| on a
+    boost-rotation of length |X|, so xi is good to about eps cosh|X|, and a |det g| below
+    _DET_ROUNDING times that scale is refused.  Real means |Im det| <= 1e-12 max(1, s),
+    s = |g|_F^2 / 2, or s = |det g| once |g|_F^2 overflows, and g1 must then pass
     `_require_unimodular`, the rule `distance_shoot` applies to its target.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = g.det()
     if not cmath.isfinite(d):
         raise NotInGLPlusError(f"determinant {d} overflows double precision")
+    rounding = _DET_ROUNDING * _EPS * float(abs(g.m[0, 0] * g.m[1, 1]) + abs(g.m[0, 1] * g.m[1, 0]))
+    if abs(d) < rounding:
+        raise NotInGLPlusError(f"determinant {d} is below its rounding error {rounding:.3e} "
+                               f"= {_DET_ROUNDING:g} eps (|g11 g22| + |g12 g21|)")
     frob = _frobenius_sq(g.m)
     if abs(d.imag) > 1e-12 * max(1.0, frob / 2.0 if math.isfinite(frob) else abs(d)):
         raise NotInGLPlusError(f"determinant {d} is not real")
@@ -204,16 +209,19 @@ def _polar(g1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     traceless part: |X| = asinh(r/2) is exact to rounding for every |X|, where log(lambda_max
     / lambda_min) cancels on long boosts.  g1 has passed `_require_unimodular`, so
     |g1|_F^2 and with it r are finite; where only the squares overflow (|X| past about 355),
-    `math.hypot` takes r without them."""
+    `math.hypot` takes r without them.  For g1 = P k, P positive definite, Cayley-Hamilton
+    gives s = g1 + adj(g1)* = tr(P) k (Higham, Functions of Matrices, SIAM 2008, ch. 8), so
+    k = s / sqrt(det s): linear in the entries, it rounds to eps at every length."""
     h = coords(g1 @ g1.conj().T)
     with np.errstate(over="ignore"):
         r = math.sqrt(h[1] ** 2 + h[2] ** 2 + h[3] ** 2)
     if r == math.inf:
         r = math.hypot(*h[1:4].tolist())
-    half = np.zeros(4)
-    if r > 0.0:
-        half[1:] = (math.asinh(r / 2.0) / r) * h[1:4]
-    return half[1:], _exp_array((-half).astype(complex), 1.0) @ g1
+    x = (math.asinh(r / 2.0) / r) * h[1:4] if r > 0.0 else np.zeros(3)
+    (a, b), (c, d) = g1.tolist()
+    s = [a + d.conjugate(), b - c.conjugate(), c - b.conjugate(), d + a.conjugate()]
+    root = cmath.sqrt(s[0] * s[3] - s[1] * s[2])
+    return x, np.reshape([z / root for z in s], (2, 2))
 
 
 def polar_decompose(g: Mat2C) -> PolarDecomposition:
@@ -260,7 +268,10 @@ def precess(alpha: np.ndarray, beta: np.ndarray, ts) -> np.ndarray:
 
     Row t is the H0 part of the control along gamma(t) = exp(t(a+b)) exp(-tb).
     """
-    nb = float(np.linalg.norm(beta))
+    with np.errstate(over="ignore"):
+        nb = float(np.linalg.norm(beta))
+    if not math.isfinite(nb):
+        raise ValueError("|beta_vec| overflows double precision")
     if nb == 0.0:
         return np.tile(alpha, (len(ts), 1))
     angles = [t * nb for t in np.asarray(ts, dtype=float).tolist()]

@@ -661,7 +661,7 @@ def abnormal_extremal(kappa_times, kappa_values, beta_dir, regime: str, steps: i
     # and the norm neither overflows nor underflows.
     bs = np.ldexp(bv, -math.frexp(big)[1])
     if regime == REGIME_ISOTROPIC:
-        if np.any(kv == 0.0) or np.any(kv[:-1] * kv[1:] < 0.0):
+        if np.any(kv == 0.0) or np.any(np.signbit(kv[:-1]) != np.signbit(kv[1:])):
             raise ValueError("isotropic regime requires kappa without zero crossings")
     elif regime != REGIME_TIMELIKE:
         raise ValueError(f"unknown regime {regime!r}")

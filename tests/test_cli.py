@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, round-trips, determinism."""
 
 import cmath
+import contextlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import argparse
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sublorentz import Mat2C, PathSample, sublorentzian
 from sublorentz.cli import build_parser, main
@@ -81,6 +83,23 @@ _OVERFLOWING = [
      "isotropic regime requires a0 = |a_vec| = 1; residual inf"),
     *[(["geodesic", "--kind", kind, "--alpha", "1e200,0,0", "--normalize"],
        "|alpha_vec| overflows double precision") for kind in ("subriemannian", "isotropic")],
+]
+
+# Inputs whose numpy warnings would reach stderr beside the error line unless
+# refused at their source: a non-finite time, a non-finite alpha or an
+# overflowing |beta| before it is normalised, an overflowing exp(z0 t / 2), and
+# kappa values whose product overflows.
+_FRESH_OVERFLOWING = [
+    (["geodesic", "--kind", "subriemannian", "--alpha", "1,0,0", "--beta", "0,0,1", "--t-max", "inf",
+      "--samples", "2"], "--t-max must be finite, got inf"),
+    (["geodesic", "--kind", "subriemannian", "--alpha", "1,0,inf", "--beta", "0,0,1", "--samples", "2",
+      "--normalize"], "alpha_vec entries must be finite"),
+    (["geodesic", "--kind", "timelike", "--alpha", "0,-3e18,-1e118", "--beta", "3e194,0,284",
+      "--t-max", "1e-11", "--samples", "1"], "|beta_vec| overflows double precision"),
+    (["exp", "--coeffs", "0,1,0,0", "--t", "inf"], "--t must be finite, got inf"),
+    (["exp", "--coeffs", "1e308,-1e308,2e179,1e308", "--t", "-37"], "matrix entries must be finite"),
+    (["extremal", "abnormal", "--regime", "isotropic", "--kappa", "0:-1e308,1:-1e73,2:1e-14",
+      "--beta-dir", "0,0,1", "--steps", "1"], "isotropic regime requires kappa without zero crossings"),
 ]
 
 
@@ -174,6 +193,9 @@ class TestGeodesic:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        for argv, message in _FRESH_OVERFLOWING:
+            proc = fresh_python("-m", "sublorentz.cli", *argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n"), argv
         # Only |g|_F^2 overflows: the class is read off det g = 1e308, with nothing on stderr.
         proc = fresh_python("-m", "sublorentz.cli", "classify", "--matrix", _matrix(1e154, 0, 0, 1e154))
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -292,6 +314,20 @@ class TestClassify:
             capsys, "classify", "--matrix", json.dumps(Mat2C(np.diag([1.0, -1.0])).to_json())
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["classify", "longest-arc"])
+    def test_det_below_its_rounding_exit_code(self, capsys, command):
+        # e^20 exp(X) su2_exp(1.364 a), |X| = 40: det g = e^40 = 2.4e17 rounds to about
+        # eps cosh(40) e^40 = 6e18, so ln det g is noise.
+        from sublorentz import ComplexAlgVec, exp_closed, su2_exp
+
+        x, a = np.array([0.3, -0.5, 0.8]), np.array([0.4, 1.1, -0.7])
+        g = math.exp(20.0) * exp_closed(ComplexAlgVec.from_reals([0.0, *(40.0 * x / np.linalg.norm(x))]),
+                                        1.0).m @ su2_exp(1.364 * a / np.linalg.norm(a)).m
+        code, out, err = run(capsys, command, "--matrix", json.dumps(Mat2C(g).to_json()))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: determinant (") and err.count("\n") == 1, err
+        assert "is below its rounding error" in err and err.endswith(" = 8 eps (|g11 g22| + |g12 g21|)\n")
 
     @pytest.mark.parametrize(
         "m",
@@ -555,6 +591,10 @@ class TestHermitianCheck:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: matrix exponential overflows double precision: norm 1e+155 > 700\n"
+        # The endpoint is finite, its Hermitian defect overflows: "inf", quoted, and no warning.
+        proc = fresh_python("-m", "sublorentz.cli", "hermitian-check", "--alpha=861,0,0", "--beta=1e-7,0,0")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert parse_payload(proc.stdout)["result"]["residual"] == "inf"
 
 
 _TIMELIKE_BOOST = json.dumps(Mat2C(math.exp(1.0) * np.array(
@@ -793,3 +833,66 @@ class TestReadme:
         for argv in readme_cli:
             code, _, err = run(capsys, *argv)
             assert code == 0, (argv, err)
+
+
+# Numbers at the edges of double precision, and (twice as often) log-uniform magnitudes up to 1e200.
+_LOG_UNIFORM = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-200.0, 200.0), st.sampled_from([1.0, -1.0]))
+_EDGE_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    _LOG_UNIFORM, _LOG_UNIFORM)
+
+
+@st.composite
+def _numeric_argv(draw):
+    """A command line of a numeric subcommand, every number drawn from `_EDGE_NUMBERS`;
+    an option with a default is left out half the time."""
+    def nums(n):
+        return ",".join(repr(draw(_EDGE_NUMBERS)) for _ in range(n))
+
+    def optional(name, n):
+        return [f"--{name}={nums(n)}"] if draw(st.booleans()) else []
+
+    regime = f"--regime={draw(st.sampled_from(['timelike', 'isotropic']))}"
+    command = draw(st.sampled_from(["exp", "geodesic", "pontryagin", "abnormal", "hermitian-check"]))
+    if command == "exp":
+        return ["exp", f"--coeffs={nums(4)}", *optional("t", 1)]
+    if command == "geodesic":
+        kind = draw(st.sampled_from(["subriemannian", "timelike", "isotropic"]))
+        return ["geodesic", f"--kind={kind}", f"--alpha={nums(3)}", *optional("beta", 3),
+                *optional("t-max", 1), f"--samples={draw(st.integers(0, 3))}",
+                *(["--normalize"] if draw(st.booleans()) else [])]
+    if command == "pontryagin":
+        T, step = draw(_EDGE_NUMBERS), draw(_EDGE_NUMBERS)
+        assume(not (0.0 < step <= T < math.inf and T / step > 1000.0))  # a short run only
+        return ["extremal", "pontryagin", f"--psi0={nums(7)}", regime, f"--T={T!r}", f"--step={step!r}"]
+    if command == "abnormal":
+        times = draw(st.sampled_from([[0.0, 1.0, 2.0], None]))
+        kappa = ",".join(f"{t!r}:{draw(_EDGE_NUMBERS)!r}"
+                         for t in (times or [draw(_EDGE_NUMBERS) for _ in range(3)]))
+        return ["extremal", "abnormal", regime, f"--kappa={kappa}", *optional("beta-dir", 3),
+                f"--steps={draw(st.integers(1, 4))}"]
+    return ["hermitian-check", f"--alpha={nums(3)}", f"--beta={nums(3)}", *optional("tol", 1)]
+
+
+@given(_numeric_argv())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_numeric_inputs_keep_the_exit_code_contract_property(argv):
+    # Exit 0 with parseable output, or 2 with one `error:` line (argparse's own
+    # refusals exit 2 too); a warning anywhere is an error.
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        return
+    assert (code, err) == (0, ""), argv
+    if argv[0] in ("exp", "hermitian-check"):
+        json.loads(out)
+    else:
+        PathSample.from_csv(io.StringIO(out))

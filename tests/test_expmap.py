@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sublorentz import (
     ComplexAlgVec,
@@ -18,12 +19,13 @@ from sublorentz import (
     exp_closed,
     exp_series,
     from_coords,
+    longest_arc,
     polar_decompose,
     su2_exp,
     to_coords,
 )
-from sublorentz.expmap import (SMALL_W, aligning_rotation, axis_angle_rotation, det_split, sinc_scaled,
-                               sinch)
+from sublorentz.expmap import (SMALL_W, _polar, aligning_rotation, axis_angle_rotation, det_split,
+                               sinc_scaled, sinch)
 
 
 def vec(*reals):
@@ -202,6 +204,7 @@ class TestPolar:
         assert abs(pd.boost.u[3] - sign * length) <= 1e-15 * length
         assert np.count_nonzero(pd.boost.u) == 1
         assert distance_lower_bound(g1) == abs(pd.boost.u[3])
+        assert np.array_equal(pd.rotation.m, np.eye(2))
 
     @pytest.mark.parametrize(
         "m",
@@ -221,6 +224,38 @@ class TestPolar:
         for call in (polar_decompose, causal_classify, lambda g: causal_relation(Mat2C.identity(), g)):
             with pytest.raises(NotInGLPlusError, match=r"^determinant .* is not real$"):
                 call(g)
+
+    @given(st.floats(0.0, 709.0), st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+    @settings(max_examples=200, derandomize=True)
+    def test_polar_rotation_rounds_to_eps_property(self, length, direction, c):
+        # k = (g1 + adj(g1)*) / sqrt(det) is linear in the entries: g1 = exp(X) k0
+        # gives back k0 to a few eps at any length whose |g1|_F^2 is finite.
+        assume(np.linalg.norm(direction) > 1e-3)
+        d = np.array(direction) / np.linalg.norm(direction)
+        k0 = su2_exp(c).m
+        k = _polar(exp_closed(vec(0.0, *(length * d)), 1.0).m @ k0)[1]
+        assert np.linalg.norm(k - k0) <= 4.0 * np.finfo(float).eps
+
+    @staticmethod
+    def _long_targets(length, n):
+        """e^{(|X| + 1)/2} exp(X) k0, det e^{|X| + 1}, for n random X of the given length and k0."""
+        rng = np.random.default_rng(11)
+        for _ in range(n):
+            x = rng.normal(size=3)
+            g1 = exp_closed(vec(0.0, *(length * x / np.linalg.norm(x))), 1.0).m
+            yield Mat2C(math.exp((length + 1.0) / 2.0) * g1 @ su2_exp(rng.uniform(-math.pi, math.pi, 3)).m)
+
+    def test_det_below_its_rounding_is_refused(self):
+        # det g rounds to about eps (|g11 g22| + |g12 g21|), up to eps cosh|X| det g, so
+        # xi = ln det g is good to about eps cosh|X|: at |X| = 30 to 2e-3, at |X| = 40 not at all.
+        for g in self._long_targets(30.0, 10):
+            assert abs(det_split(g)[0] - 31.0) < 1e-2
+        for g in self._long_targets(40.0, 10):
+            for call in (polar_decompose, causal_classify, lambda g: causal_relation(Mat2C.identity(), g),
+                         longest_arc):
+                with pytest.raises(NotInGLPlusError, match=r"is below its rounding error .* = 8 eps "):
+                    call(g)
 
     def test_singular_input(self):
         g = Mat2C(np.diag([1e-151, 1e-151]))  # det = 1e-302 > 0, below 1e-300

@@ -41,6 +41,7 @@ from sublorentz import (
     to_coords,
 )
 from sublorentz import sublorentzian
+from sublorentz.expmap import _polar
 from sublorentz.sublorentzian import (
     ExtremalParams, IntegrationDivergedError, _precession, _rk4_factors)
 
@@ -581,6 +582,35 @@ def test_integrator_bits_do_not_depend_on_simd_dispatch(fresh_python):
         assert child["paths"] == want, env
 
 
+_POLAR_CHILD = """
+import hashlib, sys
+import numpy as np
+from sublorentz.expmap import _polar
+g1 = np.frombuffer(open(sys.argv[1], "rb").read(), complex).reshape(-1, 2, 2)
+print(hashlib.sha256(b"".join(_polar(g)[1].tobytes() for g in g1)).hexdigest())
+"""
+
+
+def test_polar_rotation_bits_do_not_depend_on_dispatch(fresh_python, tmp_path):
+    # k = (g1 + adj(g1)*) / sqrt(det) takes Python scalar arithmetic alone, so
+    # neither numpy's SIMD loops nor OpenBLAS's kernels move its bits.  The
+    # targets are stored as bytes: su2_exp takes a BLAS norm, so a child that
+    # built them would not be given the same inputs.
+    rng = np.random.default_rng(17)
+    targets = []
+    for length in np.concatenate([rng.uniform(0.0, 40.0, 200), rng.uniform(40.0, 700.0, 100)]):
+        x = rng.normal(size=3)
+        g1 = exp_closed(ComplexAlgVec.from_reals([0.0, *(length * x / np.linalg.norm(x))]), 1.0).m
+        targets.append(g1 @ su2_exp(rng.normal(size=3) * 10.0 ** rng.uniform(-8.0, 0.5)).m)
+    path = tmp_path / "g1.bin"
+    path.write_bytes(np.array(targets).tobytes())
+    want = hashlib.sha256(b"".join(_polar(g)[1].tobytes() for g in targets)).hexdigest()
+    for env in ({"NPY_DISABLE_CPU_FEATURES": " ".join(_dispatched_cpu_features())},
+                {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}):
+        out = fresh_python("-c", _POLAR_CHILD, str(path), env=env)
+        assert (out.returncode, out.stdout.strip()) == (0, want), (env, out.stderr)
+
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -644,9 +674,9 @@ def _shooting_targets():
 # an unreachable boost-rotation and an indeterminate rotation, all inexact.
 # The two unreachable ones are decided by the projection bound alone and run
 # no search, so they read [lower, inf) with no witness.
-_SHOOTING_REPORTS_SHA256 = "d9baaf820bc0f6906073379de9df341e8152625e99b0b212910f587e099ca743"
+_SHOOTING_REPORTS_SHA256 = "e826320179d0f5d6bd91193ecea745edc00863e0063c1c80a5ddc5a9fb05a8aa"
 # sha256 of the other four reports alone, which the search decides.
-_SEARCHED_REPORTS_SHA256 = "520fbb73364d91125103a6beca21ef58c33370c5adb8a7f873baebf3a9ca0f1e"
+_SEARCHED_REPORTS_SHA256 = "082bb13b3dd9594466dd2d7e229666baa98223c7a01c0514d00c757106482fd4"
 # The lower ends of the two lower-decided reports, bit for bit those of the
 # full `distance_shoot` brackets.
 _LOWER_DECIDED = {1: 1.2447780787279754, 4: 1.1024473440317106}

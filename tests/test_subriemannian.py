@@ -1,6 +1,7 @@
 """Geodesics, distance brackets, and the Hermitian-endpoint classifier on SL(2,C)."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from sublorentz import (
 )
 from sublorentz import subriemannian
 from sublorentz.algebra import coords, entry_coords, from_coords
+from sublorentz.cli import main
 from sublorentz.expmap import SMALL_W
 
 
@@ -230,8 +232,7 @@ class TestDistanceShoot:
             assert br.lower == br.upper == br.witness.T
             assert abs(br.lower - r) <= 1e-15
             assert br.converged
-        # Long boosts: the polar rotation of a float boost is I only to about
-        # eps |g|_F^2, and det g is 1 only to the same scale.
+        # Long boosts: det g is 1 only to about eps |g|_F^2.
         rng = np.random.default_rng(93)
         directions = [rng.normal(size=3) for _ in range(6)]
         for r in (8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0):
@@ -241,6 +242,32 @@ class TestDistanceShoot:
                 assert not np.any(br.witness.params.beta_vec), (r, d)
                 assert abs(br.lower - r) <= 1e-12 * r, (r, d)
                 assert br.converged
+
+    @pytest.mark.parametrize("length", [100.0, 400.0, 538.0, 700.0, 709.0])
+    def test_long_float_boosts_are_exact(self, capsys, length):
+        # exp_closed's boosts up to |X| = 709, where |g1|_F^2 = 2cosh|X| is still
+        # finite: [|X|, |X|] in process and through `distance`, with nothing on stderr.
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            g1 = boost(rng.normal(size=3), length)
+            br = distance_shoot(g1)
+            assert br.lower == br.upper and abs(br.lower - length) <= 1e-15 * length
+            assert main(["distance", "--matrix", json.dumps(g1.to_json())]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and json.loads(out)["result"] == br.to_json()
+
+    @pytest.mark.parametrize("length, theta", [(20.0, 1e-7), (25.0, 1e-5), (30.0, 1e-3),
+                                               (36.0, 1.364), (40.0, 1.364)])
+    def test_long_near_boosts_are_searched(self, length, theta):
+        # exp(X) su2_exp(theta a) is no boost at any length: none gets an exact
+        # bracket, and each upper has a witness within tol of g1.
+        g1 = boost([0.3, -0.5, 0.8], length).m @ su2_exp(theta * np.array([0.4, 1.1, -0.7])
+                                                         / np.linalg.norm([0.4, 1.1, -0.7])).m
+        br = distance_shoot(Mat2C(g1))
+        assert br.lower == pytest.approx(length, rel=1e-15)
+        assert br.width > subriemannian._EXACT_WIDTH
+        assert math.isfinite(br.upper)
+        assert np.max(np.abs(sr_geodesic(br.witness.params, br.witness.T).m - g1)) < 1e-7
 
     @staticmethod
     def _large_beta_targets(n):
@@ -343,7 +370,7 @@ class TestDistanceShoot:
                    [0.0018626643585940663, -0.001999478720363208, 0.0009483277950850703])
         br = distance_shoot(sr_geodesic(p, 1.1672458844635885))
         assert calls["least_squares"] == 1
-        assert br.upper.hex() == "0x1.2ad0a0542965ap+0"
+        assert br.upper.hex() == "0x1.2ad0a0542963fp+0"
 
     # Small-|beta| geodesics whose only witness is the polished one: 11 of 120
     # drawn from default_rng(7) as a ~ N(0,1)^3, b ~ N(0,1)^3 10^U(-6,-1),
