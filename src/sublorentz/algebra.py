@@ -261,6 +261,8 @@ def coeff_entries(z0, z1, z2, z3, z4, z5, z6, z7) -> tuple[complex, ...]:
 
     Adds every term of z0 e0 + z7 e7 + z1 e1 + ... + z6 e6 in that order, zero terms
     included, so each entry part (signed zeros too) is that of the basis-matrix array sum.
+    Complex arrays z_i give entry arrays with the bits of the scalar calls: products by
+    the basis entries 0, +-1/2 and +-i/2 are exact.
     """
     return tuple([z0 * e0 + z7 * e7 + z1 * e1 + z2 * e2 + z3 * e3 + z4 * e4 + z5 * e5 + z6 * e6
                   for e0, e1, e2, e3, e4, e5, e6, e7 in _BASIS_BY_ENTRY])

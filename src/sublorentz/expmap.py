@@ -250,17 +250,28 @@ def su2_exp(c) -> Mat2C:
                            [off + 1j * s * (c0 + c1 * -1j), complex(cs, 0.0 - s * c2)]]))
 
 
+def _norm3(v) -> float:
+    """|v| of a 3-vector, term by term: the bits of a BLAS dot move with the OpenBLAS kernel."""
+    x1, x2, x3 = v.tolist()
+    return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+
+
+def _apply3(P, X) -> np.ndarray:  # P X for a 3x3 P (or a stack) and X of shape (3, ...), without BLAS
+    return P[..., :1] * X[0] + P[..., 1:2] * X[1] + P[..., 2:] * X[2]
+
+
 def axis_angle_rotation(axis, angle) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis; one per angle for an array of angles.
 
-    sin and cos are `math` calls per angle: each matrix has the bits of its scalar call.
+    sin and cos are `math` calls per angle: each matrix has the bits of its scalar call,
+    and the norm and K^2 are explicit sums, so no BLAS kernel moves them.
     """
     n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
+    n = n / _norm3(n)
     K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
     angles = np.asarray(angle, dtype=float)[..., None, None]
     sin, cos = (np.frompyfunc(f, 1, 1)(angles).astype(float) for f in (math.sin, math.cos))
-    return np.eye(3) + sin * K + (1 - cos) * (K @ K)
+    return np.eye(3) + sin * K + (1 - cos) * _apply3(K, K)
 
 
 def precess(alpha: np.ndarray, beta: np.ndarray, ts) -> np.ndarray:
@@ -268,14 +279,13 @@ def precess(alpha: np.ndarray, beta: np.ndarray, ts) -> np.ndarray:
 
     Row t is the H0 part of the control along gamma(t) = exp(t(a+b)) exp(-tb).
     """
-    with np.errstate(over="ignore"):
-        nb = float(np.linalg.norm(beta))
+    nb = _norm3(beta)
     if not math.isfinite(nb):
         raise ValueError("|beta_vec| overflows double precision")
     if nb == 0.0:
         return np.tile(alpha, (len(ts), 1))
     angles = [t * nb for t in np.asarray(ts, dtype=float).tolist()]
-    return axis_angle_rotation(beta / nb, angles) @ alpha
+    return _apply3(axis_angle_rotation(beta / nb, angles), alpha[:, None])[..., 0]
 
 
 def su2_from_axis_angle(axis, angle: float) -> Mat2C:
@@ -319,15 +329,25 @@ def _curve_w(a: np.ndarray) -> tuple[complex, float]:
     return w1, w2
 
 
-def _curve_coefficients(a: list, w1: complex, w2: float, t: float) -> tuple[complex, ...]:
+def _curve_scalars(a0: float, w1: complex, w2: float, t: float) -> tuple:
+    """(m1, n1, m2, n2, e^{a0 t/2}) of `ProductExpParams` at the time t."""
+    return cmath.cosh(w1 * t), sinch(w1, t), math.cos(w2 * t), sinc_scaled(w2, t), math.exp(a0 * t / 2.0)
+
+
+def _curve_coefficients(a: list, w1: complex, w2: float, t) -> tuple:
     """`ProductExpParams.coefficients` of the constants a (seven floats) with `_curve_w(a)`.
 
     A plain function, so a caller that evaluates many constants (the polish in
-    `subriemannian`) builds no object per evaluation.
+    `subriemannian`) builds no object per evaluation.  A float64 array t gives arrays,
+    bit for bit the scalar ones: `_curve_scalars` runs per time, and every product
+    after it has a real factor, so no fused multiply-add rounds differently (README).
     """
-    m1, n1 = cmath.cosh(w1 * t), sinch(w1, t)
-    m2, n2 = math.cos(w2 * t), sinc_scaled(w2, t)
-    ee = math.exp(a[0] * t / 2.0)
+    if isinstance(t, np.ndarray):
+        m1, n1, m2, n2, ee = (x.astype(d) for x, d in zip(
+            np.frompyfunc(_curve_scalars, 4, 5)(a[0], w1, w2, t),
+            (complex, complex, float, float, float)))
+    else:
+        m1, n1, m2, n2, ee = _curve_scalars(a[0], w1, w2, t)
     mix = n1 * n2
     swing = ee * (m2 * n1 - m1 * n2)
     return (
@@ -388,15 +408,15 @@ class ProductExpParams:
 
     def point_rows(self, ts) -> np.ndarray:
         """(N, 2, 2) array whose row j holds the entries of `point(ts[j])`, bit for bit."""
-        rows = []
-        a, w1, w2 = self.alpha.tolist(), self.w1, self.w2
+        ts = np.asarray(ts, float)
         try:
-            rows.extend(coeff_entries(*_curve_coefficients(a, w1, w2, t))
-                        for t in np.asarray(ts, float).tolist())
-        except (ArithmeticError, ValueError):  # as with `point`, an earlier non-finite row fails first
-            _frozen_array(np.reshape(rows, (-1, 2, 2)), complex, (2, 2), "matrix", batch=True)
+            with np.errstate(all="ignore"):  # non-finite rows, as `point`'s scalars give them unwarned
+                entries = coeff_entries(*_curve_coefficients(self.alpha.tolist(), self.w1, self.w2, ts))
+        except (ArithmeticError, ValueError):  # raise what `point` raises at the first bad time
+            for t in ts.tolist():
+                self.point(t)
             raise
-        return np.reshape(rows, (-1, 2, 2))
+        return np.stack(entries, -1).reshape(-1, 2, 2)
 
     def point_two_factor(self, t: float) -> Mat2C:
         """Same curve evaluated as an explicit product of the two exponentials."""

@@ -30,8 +30,8 @@ import numpy as np
 
 from .algebra import (
     AlgCoords, Mat2C, _frozen_array, _Rows, _stacked, coeff_entries, format_float, to_coords)
-from .expmap import (_EPS, ProductExpParams, _frobenius_sq, _unit_alpha, aligning_rotation, det_split,
-                     sinc_scaled, sinch)
+from .expmap import (_EPS, ProductExpParams, _apply3, _frobenius_sq, _norm3, _unit_alpha, aligning_rotation,
+                     det_split, sinc_scaled, sinch)
 from .subriemannian import _EXACT_TIE_TOL, _EXACT_WIDTH, _ZERO_LENGTH, DistanceBracket, _shoot
 
 REGIME_TIMELIKE = "timelike-normal"
@@ -205,7 +205,7 @@ def _rk4_points(controls, h: float, steps: int, record_every: int = 1) -> np.nda
     depend on the controls, h, `steps` and `record_every`, not on `_CHUNK`."""
     L = min(record_every, _TREE)
     g00, g01, g10, g11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    points = [(g00, g01, g10, g11)]
+    points = [g00, g01, g10, g11]  # the records' entries, flat
     j0 = 0
     while j0 < steps:
         j1 = min(j0 + L * max(1, _CHUNK // L), steps)
@@ -221,13 +221,9 @@ def _rk4_points(controls, h: float, steps: int, record_every: int = 1) -> np.nda
             g00, g01, g10, g11 = (g00 * s00 + g01 * s10, g00 * s01 + g01 * s11,
                                   g10 * s00 + g11 * s10, g10 * s01 + g11 * s11)
             if j % record_every == 0 or j == steps:
-                points.append((g00, g01, g10, g11))
+                points += g00, g01, g10, g11
         j0 = j1
-    return np.array(points)
-
-
-def _apply3(P, X) -> np.ndarray:  # P X for a 3x3 P and X of shape (3, N), without BLAS
-    return P[:, :1] * X[0] + P[:, 1:2] * X[1] + P[:, 2:] * X[2]
+    return np.fromiter(points, complex, len(points)).reshape(-1, 4)
 
 
 def _precession(b, h: float, x, n: int) -> tuple:
@@ -667,13 +663,12 @@ def abnormal_extremal(kappa_times, kappa_values, beta_dir, regime: str, steps: i
         raise ValueError(f"unknown regime {regime!r}")
     if steps < 1:
         raise ValueError("steps must be positive")
-    x1, x2, x3 = bs.tolist()  # |bs| term by term: the bits of a BLAS dot move with the kernel
-    b1, b2, b3 = (bs / math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)).tolist()
+    b1, b2, b3 = (bs / _norm3(bs)).tolist()
     h = float(kt[-1]) / steps
 
     def u_dual(k):  # (4, N) dual controls at the kappa values k
         if regime == REGIME_TIMELIKE:
-            mag, u0 = (np.array(list(map(f, k.tolist()))) for f in (math.sinh, math.cosh))
+            mag, u0 = (np.fromiter(map(f, k.tolist()), float, len(k)) for f in (math.sinh, math.cosh))
         else:
             mag, u0 = k, np.abs(k)
         return np.array([u0, b1 * mag, b2 * mag, b3 * mag])

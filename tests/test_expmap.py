@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sublorentz import (
     su2_exp,
     to_coords,
 )
+from sublorentz import expmap
 from sublorentz.expmap import (SMALL_W, _polar, aligning_rotation, axis_angle_rotation, det_split,
                                sinc_scaled, sinch)
 
@@ -422,7 +424,8 @@ class TestProductExpParams:
         v = rng.normal(size=3)
         return v / np.linalg.norm(v)
 
-    @pytest.mark.parametrize("case", ["generic", "beta-zero", "w1-small", "w2-small", "one-time", "no-time"])
+    @pytest.mark.parametrize("case", ["generic", "beta-zero", "w1-small", "w2-small", "one-time", "no-time",
+                                      "alpha-vec-zero", "long", "cosh-overflow"])
     def test_sample_rows_are_point_and_control_bits(self, case):
         rng = np.random.default_rng([73, len(case)])
         alpha = rng.uniform(-2, 2, 7)
@@ -440,19 +443,47 @@ class TestProductExpParams:
             ts = ts[-1:]
         elif case == "no-time":
             ts = ts[:0]
+        elif case == "alpha-vec-zero":
+            alpha[1:4] = 0.0
+        elif case == "long":  # whole SIMD lanes, not only loop tails
+            ts = np.concatenate([ts, rng.uniform(-3, 3, 250)])
+        elif case == "cosh-overflow":  # |w1| near 150: cmath.cosh raises from t near 4.7
+            alpha[0], alpha[1:4] = 0.0, 300.0 * self._unit(rng)
+            ts = np.linspace(0.0, 6.0, 101)
         p = ProductExpParams(alpha)
         assert case != "w1-small" or abs(p.w1) < SMALL_W
         assert case != "w2-small" or abs(p.w2) < SMALL_W
+        want = []
+        try:
+            want.extend(p.point(t).m.tobytes() for t in ts.tolist())
+        except (ArithmeticError, ValueError) as e:  # the array pass must raise what the first bad time raises
+            assert case == "cosh-overflow" and isinstance(e, OverflowError) and len(want) > 50
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                p.point_rows(ts)
+            ts = ts[:len(want)]
+        assert case != "cosh-overflow" or len(ts) < 101
         points, controls = p.point_rows(ts), p.control_rows(ts)
         assert len(points) == len(controls) == len(ts)
         b_vec = alpha[4:7]
-        nb = float(np.linalg.norm(b_vec))
-        for t, point, control in zip(ts.tolist(), points, controls):
-            assert point.tobytes() == p.point(t).m.tobytes()
+        nb = math.sqrt(sum(x * x for x in b_vec.tolist()))  # term by term (starting from an exact 0)
+        for t, point, control, point_bytes in zip(ts.tolist(), points, controls, want):
+            assert point.tobytes() == point_bytes
             assert control.tobytes() == p.control(t).u.tobytes()
-            # one scalar-angle Rodrigues product per time
-            a_vec = alpha[1:4] if nb == 0.0 else axis_angle_rotation(b_vec / nb, t * nb) @ alpha[1:4]
+            # one scalar-angle Rodrigues product per time, its matrix-vector sums in index order
+            a_vec = alpha[1:4]
+            if nb != 0.0:
+                R = axis_angle_rotation(b_vec / nb, t * nb)
+                a_vec = R[:, 0] * a_vec[0] + R[:, 1] * a_vec[1] + R[:, 2] * a_vec[2]
             assert control.tobytes() == np.concatenate([alpha[:1], a_vec, np.zeros(4)]).tobytes()
+
+    def test_sample_evaluates_the_curve_once(self, monkeypatch):
+        # point_rows hands all its times to one `_curve_coefficients` call.
+        calls = []
+        real = expmap._curve_coefficients
+        monkeypatch.setattr(expmap, "_curve_coefficients", lambda *args: calls.append(0) or real(*args))
+        p = ProductExpParams(np.array([1.3, 0.4, -0.2, 0.6, 0.5, 0.1, -0.7]))
+        assert p.point_rows(np.linspace(0.0, 2.0, 101)).shape == (101, 2, 2)
+        assert len(calls) == 1
 
     def test_sample_reports_the_first_bad_time_first(self):
         # w1 = nan + inf i and w2 = inf: point(0) is non-finite without raising,

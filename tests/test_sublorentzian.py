@@ -287,7 +287,7 @@ def _path_bytes(path):
         path.times.tobytes(),
         b"".join(p.m.tobytes() for p in path.points),
         b"".join(u.u.tobytes() for u in path.controls),
-        b"".join(c.psi.tobytes() for c in path.covectors),
+        b"" if path.covectors is None else b"".join(c.psi.tobytes() for c in path.covectors),
     )
 
 
@@ -310,6 +310,8 @@ def _path_runs():
 # normal flow's controls and covectors) are those of the RK4 step factors, the
 # normal flow's points multiplied piece by piece between its records; the
 # abnormal times, controls and covectors are unchanged from the scalar steps.
+# The extremal-* controls and covectors are those of `precess` with its norm
+# and matrix-vector product summed term by term.
 _PATH_SHA256 = {
     "timelike": (
         "d1570a98f78ef43df7954b2216321a095a76f4c9bede3ca9e0cc76a82c18cc56",
@@ -332,14 +334,14 @@ _PATH_SHA256 = {
     "extremal-timelike": (
         "45a310e5517dd15c97912aadddef95b61a8cce44c8cf759919e712b03b775c0c",
         "06d976de39c737efb05c016e3b5ec437470cd000eafc610eb16e7b553bc79256",
-        "7c0eb21ee0a58b122c145e97c24fa8dd8cc27f9215e4563793df6daa2d005279",
-        "3bd4724a744d267e41484daf014135eb7e82ad8dea6962ff62cc5556ee449c87",
+        "1f1e6d11cabb165a5e606f8add0c707e62a9248a508c7325bf86bbcde8eb8454",
+        "48938bd24810a880af1b4b42ccf7239575b8e3dc52a014bf895b4532660fbcc0",
     ),
     "extremal-isotropic": (
         "45a310e5517dd15c97912aadddef95b61a8cce44c8cf759919e712b03b775c0c",
         "3c8bee84f8009c1ea34c16321f907fe717d72a25e8b009d065a28d2287f7bf75",
-        "e63a2dd1115eb036ff129657b82aecaef4a8da0365a51209fff4fc663c32895a",
-        "f1d823e35b89c406ea1e1346af373bb20af317134930dd6ed7c706e474b8936b",
+        "ecf459da5bb4e35100adc666d886ad058dad3325eab68c09918ff23e3551220f",
+        "902b12e76d020ced56ade2c66e807fa362bf7b86b2715b19a636c4594e007f80",
     ),
     "longest-arc-boost": (
         "35e4225ebc855937d565b2e394065e89c84e4e6fd0ebba4888a10638f90467ca",
@@ -545,8 +547,9 @@ def _dispatched_cpu_features():
 
 # (1.0988127684144084, -1.284580778805345, -0.6616129303555477) is a direction
 # whose np.linalg.norm (a BLAS dot) differs by an ulp between OpenBLAS kernels.
+# The closed-form samples join them: their controls take no BLAS call.
 _DISPATCH_RUNS = {
-    **_GOLDEN_RUNS,
+    **_path_runs(),
     "abnormal-blas-norm": lambda: abnormal_extremal(
         [0.0, 1.0], [0.3, 0.8], (1.0988127684144084, -1.284580778805345, -0.6616129303555477),
         REGIME_TIMELIKE, 50),
@@ -568,12 +571,14 @@ def test_integrator_bits_do_not_depend_on_simd_dispatch(fresh_python):
     # numpy picks SIMD loops at run time, and some (complex multiply, for one)
     # fuse multiply-adds; OpenBLAS picks its kernels at load time.  With every
     # dispatched feature this host has switched off, or with OpenBLAS held to
-    # its Prescott kernels, the integrators must still write the same bytes.
-    # Either variable acts on the child interpreter only.
+    # its Prescott or Haswell kernels, the integrators and the closed-form
+    # samples must still write the same bytes.  Each variable acts on the child
+    # interpreter only.
     want = {name: hashlib.sha256(b"".join(_path_bytes(run()))).hexdigest()
             for name, run in _DISPATCH_RUNS.items()}
     found = _dispatched_cpu_features()
-    for env in ({"NPY_DISABLE_CPU_FEATURES": " ".join(found)}, {"OPENBLAS_CORETYPE": "Prescott"}):
+    for env in ({"NPY_DISABLE_CPU_FEATURES": " ".join(found)},
+                {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}):
         out = fresh_python("-c", _SIMD_CHILD, str(Path(__file__).parent), env=env)
         assert out.returncode == 0, out.stderr
         child = json.loads(out.stdout)
